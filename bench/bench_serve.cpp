@@ -8,6 +8,12 @@
 //
 //   bench_serve [--sessions N] [--out BENCH_serve.json]
 //
+// Arrivals are paced from absolute due times (session i is due at
+// start + i * arrival_us), so a slow submit or a late wake-up never lowers
+// the offered rate. Each scenario records the achieved offered rate and the
+// generator lag (how late each submit was against its due time), and the
+// JSON carries the host it ran on.
+//
 // Three sleeper scenarios share one traffic shape:
 //   nominal      arrival ~0.6x service capacity; nothing sheds or degrades
 //   overload_2x  arrival ~2x capacity with shed-oldest admission, load-aware
@@ -40,6 +46,9 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
+#include "core/parallel.hpp"
 #include "explore/guarded.hpp"
 #include "serve/coalesce.hpp"
 #include "serve/server.hpp"
@@ -172,6 +181,9 @@ struct ScenarioResult {
   double p99_ms = 0.0;
   double shed_rate = 0.0;          ///< (shed + rejected) / submitted
   double degraded_fraction = 0.0;  ///< degraded / ok
+  double target_per_s = 0.0;       ///< stated rate, 1e6 / arrival_us
+  double offered_per_s = 0.0;      ///< achieved submit rate
+  double generator_lag_p95_ms = 0.0;
   size_t queue_capacity = 0;
   bool coalesce_on = false;
   double mean_batch_points = 0.0;  ///< mean fused GEMM rows (off: per-call)
@@ -186,9 +198,9 @@ double percentile(std::vector<double>& v, double p) {
   return v[i];
 }
 
-/// Open-loop drive: a submitter thread issues @p sessions requests at a
-/// fixed @p arrival_us cadence regardless of completions, then the server
-/// drains and every future is harvested.
+/// Open-loop drive: a submitter thread issues @p sessions requests, request
+/// i due at start + i * @p arrival_us regardless of completions, then the
+/// server drains and every future is harvested.
 ScenarioResult run_scenario(const std::string& name,
                             const serve::ServeOptions& options,
                             size_t sessions, size_t arrival_us,
@@ -200,18 +212,24 @@ ScenarioResult run_scenario(const std::string& name,
   }
   std::vector<std::future<serve::SessionResult>> futures;
   futures.reserve(sessions);
+  std::vector<double> lag_ms;
+  lag_ms.reserve(sessions);
 
   const auto start = std::chrono::steady_clock::now();
+  auto last_submit = start;
   std::thread driver([&] {
     for (uint64_t id = 0; id < sessions; ++id) {
+      const auto due = start + std::chrono::microseconds(id * arrival_us);
+      std::this_thread::sleep_until(due);
       serve::SessionRequest req;
       req.id = id;
       req.workload = "synthetic";
       req.seed = id;
+      last_submit = std::chrono::steady_clock::now();
+      lag_ms.push_back(
+          std::chrono::duration<double, std::milli>(last_submit - due)
+              .count());
       futures.push_back(server.submit(std::move(req)));
-      if (arrival_us > 0) {
-        std::this_thread::sleep_for(std::chrono::microseconds(arrival_us));
-      }
     }
   });
   driver.join();
@@ -225,6 +243,14 @@ ScenarioResult run_scenario(const std::string& name,
   r.name = name;
   r.wall_s = wall_s;
   r.queue_capacity = options.queue_capacity;
+  r.target_per_s = arrival_us > 0 ? 1e6 / static_cast<double>(arrival_us) : 0.0;
+  // sessions - 1 inter-arrival gaps span the first to the last submit.
+  const double submit_span_s =
+      std::chrono::duration<double>(last_submit - start).count();
+  r.offered_per_s = sessions > 1 && submit_span_s > 0
+                        ? static_cast<double>(sessions - 1) / submit_span_s
+                        : 0.0;
+  r.generator_lag_p95_ms = percentile(lag_ms, 0.95);
   std::vector<double> latencies;  // total_ms of kOk sessions
   for (auto& fut : futures) {
     const serve::SessionResult res = fut.get();
@@ -286,8 +312,23 @@ ScenarioResult run_coalesce_scenario(const std::string& name,
                       coal.get());
 }
 
+/// Host context first, so a reader sees where the numbers came from before
+/// reading them. Build type, compiler and -march come from the build.
 void write_json(std::FILE* f, const std::vector<ScenarioResult>& results) {
-  std::fprintf(f, "{\n  \"scenarios\": {\n");
+  std::fprintf(f,
+               "{\n"
+               "  \"host\": {\n"
+               "    \"nproc\": %ld,\n"
+               "    \"threads\": %zu,\n"
+               "    \"build_type\": \"%s\",\n"
+               "    \"compiler\": \"%s\",\n"
+               "    \"march_native\": %s\n"
+               "  },\n"
+               "  \"executor\": \"synthetic\",\n"
+               "  \"scenarios\": {\n",
+               sysconf(_SC_NPROCESSORS_ONLN), metadse::threads(),
+               BENCH_BUILD_TYPE, BENCH_COMPILER,
+               BENCH_MARCH_NATIVE != 0 ? "true" : "false");
   for (size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     const auto& s = r.stats;
@@ -304,6 +345,9 @@ void write_json(std::FILE* f, const std::vector<ScenarioResult>& results) {
                  "      \"queue_high_water\": %zu,\n"
                  "      \"queue_capacity\": %zu,\n"
                  "      \"watchdog_trips\": %zu,\n"
+                 "      \"target_per_s\": %.1f,\n"
+                 "      \"offered_per_s\": %.1f,\n"
+                 "      \"generator_lag_p95_ms\": %.3f,\n"
                  "      \"wall_s\": %.3f,\n"
                  "      \"throughput_per_s\": %.1f,\n"
                  "      \"p50_ms\": %.1f,\n"
@@ -320,6 +364,7 @@ void write_json(std::FILE* f, const std::vector<ScenarioResult>& results) {
                  r.name.c_str(), s.submitted, s.ok, s.rejected, s.shed,
                  s.deadline, s.stopped, s.failed, s.degraded,
                  s.queue_high_water, r.queue_capacity, s.watchdog_trips,
+                 r.target_per_s, r.offered_per_s, r.generator_lag_p95_ms,
                  r.wall_s, r.throughput_per_s, r.p50_ms, r.p99_ms,
                  r.shed_rate, r.degraded_fraction,
                  r.coalesce_on ? "true" : "false", s.coalesced_batches,
@@ -410,10 +455,12 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const auto& r : results) {
     std::printf(
-        "%-24s %zu sessions in %.2fs: %.0f ok/s, p50 %.0fms p99 %.0fms, "
+        "%-24s %zu sessions in %.2fs (offered %.0f/s of %.0f/s, lag p95 "
+        "%.2fms): %.0f ok/s, p50 %.0fms p99 %.0fms, "
         "shed %.1f%%, degraded %.1f%%, queue high water %zu/%zu, "
         "gemm x%.1f%s\n",
-        r.name.c_str(), r.stats.submitted, r.wall_s, r.throughput_per_s,
+        r.name.c_str(), r.stats.submitted, r.wall_s, r.offered_per_s,
+        r.target_per_s, r.generator_lag_p95_ms, r.throughput_per_s,
         r.p50_ms, r.p99_ms, 100.0 * r.shed_rate, 100.0 * r.degraded_fraction,
         r.stats.queue_high_water, r.queue_capacity, r.gemm_size_ratio,
         r.invariant_ok ? "" : "  INVARIANT VIOLATED");

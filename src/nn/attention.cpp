@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/fused.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/plan.hpp"
 
@@ -62,17 +61,9 @@ Tensor MultiHeadSelfAttention::forward(const Tensor& x) {
       throw std::invalid_argument(
           "MultiHeadSelfAttention: mask shape must be [seq, seq]");
     }
-    if (FusedKernels::enabled()) {
-      // Softmax, mask, and row renormalization in one node; gradients reach
-      // the mask when it is trainable (Algorithm 2) exactly as the chain
-      // below would deliver them.
-      attn = t::softmax_masked_lastdim(scores, *mask_);
-    } else {
-      attn = t::softmax_lastdim(scores);
-      auto masked = t::mul(attn, *mask_);  // broadcast over B*H
-      auto row_sum = t::add(t::sum_axis(masked, 2, /*keepdim=*/true), 1e-6F);
-      attn = t::div(masked, row_sum);
-    }
+    // Softmax, mask, and row renormalization in one node; gradients reach
+    // the mask when it is trainable (Algorithm 2).
+    attn = t::softmax_masked_lastdim(scores, *mask_);
   } else {
     attn = t::softmax_lastdim(scores);
   }

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/fused.hpp"
 #include "tensor/ops.hpp"
 
 namespace metadse::nn {
@@ -35,10 +34,7 @@ Tensor Linear::forward_gelu(const Tensor& x) const {
                                 tensor::shape_str(x.shape()) + " != in=" +
                                 std::to_string(in_));
   }
-  if (FusedKernels::enabled()) {
-    return tensor::bias_gelu(tensor::matmul(x, w_), b_);
-  }
-  return tensor::gelu(tensor::add(tensor::matmul(x, w_), b_));
+  return tensor::bias_gelu(tensor::matmul(x, w_), b_);
 }
 
 LayerNorm::LayerNorm(size_t features, float eps) : eps_(eps) {
@@ -53,11 +49,7 @@ Tensor LayerNorm::forward(const Tensor& x) const {
   if (x.shape().empty() || x.shape().back() != gamma_.dim(0)) {
     throw std::invalid_argument("LayerNorm::forward: trailing dim mismatch");
   }
-  if (FusedKernels::enabled()) {
-    return tensor::layer_norm_affine(x, gamma_, beta_, eps_);
-  }
-  auto normed = tensor::layer_norm_lastdim(x, eps_);
-  return tensor::add(tensor::mul(normed, gamma_), beta_);
+  return tensor::layer_norm_affine(x, gamma_, beta_, eps_);
 }
 
 }  // namespace metadse::nn

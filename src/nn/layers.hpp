@@ -14,8 +14,8 @@ class Linear : public Module {
   /// Applies the affine map to the trailing dimension of @p x.
   Tensor forward(const Tensor& x) const;
 
-  /// forward() followed by GELU, dispatched through the fused bias+GELU
-  /// kernel when FusedKernels is enabled (bitwise-equal either way).
+  /// forward() followed by GELU, with the bias add and GELU in one fused
+  /// kernel (bitwise-equal to gelu(forward(x))).
   Tensor forward_gelu(const Tensor& x) const;
 
   size_t in_features() const { return in_; }

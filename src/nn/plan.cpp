@@ -13,7 +13,6 @@
 
 #include "core/chaos.hpp"
 #include "core/parallel.hpp"
-#include "nn/fused.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
@@ -113,7 +112,7 @@ void PlanRegistry::reset() {
 // -- predict plans -----------------------------------------------------------
 
 std::string predict_plan_key(const TransformerRegressor& model, size_t batch,
-                             bool fuse, quant::Precision prec) {
+                             quant::Precision prec) {
   const auto& c = model.config();
   std::string k = "predict:nt" + std::to_string(c.n_tokens) + ":dm" +
                   std::to_string(c.d_model) + ":h" +
@@ -125,14 +124,13 @@ std::string predict_plan_key(const TransformerRegressor& model, size_t batch,
   for (size_t i = 0; i < model.layer_count(); ++i) {
     k += model.attention_layer(i).has_mask() ? '1' : '0';
   }
-  k += fuse ? ":f1" : ":f0";
   if (prec == quant::Precision::kBf16) k += ":qb";
   if (prec == quant::Precision::kInt8) k += ":q8";
   return k;
 }
 
 std::shared_ptr<const tp::CompiledProgram> compile_predict(
-    TransformerRegressor& model, size_t batch, bool fuse, std::string* why) {
+    TransformerRegressor& model, size_t batch, std::string* why) {
   if (batch == 0) {
     if (why != nullptr) *why = "empty batch";
     return nullptr;
@@ -162,13 +160,10 @@ std::shared_ptr<const tp::CompiledProgram> compile_predict(
   leaves[x.node().get()] = {tp::LeafBinding::Kind::kInput, 0};
 
   t::NoGradGuard no_grad;
-  FusedKernelsGuard fused(fuse);
   tp::Tracer tracer;
   t::Rng rng(0);
   t::Tensor y = model.forward(x, rng, /*train=*/false);
-  tp::CompileOptions opt;
-  opt.fuse = fuse;
-  return tp::compile(tracer, leaves, y.node().get(), opt, why);
+  return tp::compile(tracer, leaves, y.node().get(), why);
 }
 
 // -- PredictPlanner ----------------------------------------------------------
@@ -195,8 +190,8 @@ struct PredictPlanner::Impl {
     uint64_t calib_gen = 0;
   };
 
-  // batch, fuse, mask bits, precision
-  using Key = std::tuple<size_t, bool, uint64_t, uint8_t>;
+  // batch, mask bits, precision
+  using Key = std::tuple<size_t, uint64_t, uint8_t>;
 
   TransformerRegressor& model;
   std::vector<const t::Node*> param_nodes;
@@ -262,7 +257,6 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
     reg.note_fallback();
     return false;
   }
-  const bool fuse = FusedKernels::enabled();
   // Effective precision for this run: int8 without a captured calibration
   // table downgrades to fp32 (serving before adapt-time calibration, or a
   // model whose calibration failed to capture).
@@ -271,18 +265,17 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
       !im.model.has_quant_calibration()) {
     prec = quant::Precision::kFp32;
   }
-  const Impl::Key key{batch, fuse, im.mask_bits(),
-                      static_cast<uint8_t>(prec)};
+  const Impl::Key key{batch, im.mask_bits(), static_cast<uint8_t>(prec)};
   auto it = im.entries.find(key);
   if (it == im.entries.end()) {
     if (im.entries.size() >= Impl::kMaxEntries) im.entries.clear();
     Impl::Entry e;
-    const std::string rkey = predict_plan_key(im.model, batch, fuse, prec);
+    const std::string rkey = predict_plan_key(im.model, batch, prec);
     auto prog = reg.find(rkey);
     const bool from_registry = prog != nullptr;
     if (!prog) {
       std::string why;
-      prog = compile_predict(im.model, batch, fuse, &why);
+      prog = compile_predict(im.model, batch, &why);
       if (prog) prog = reg.insert(rkey, std::move(prog));
     }
     if (prog) {
@@ -300,8 +293,8 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
         }
         e.exec->set_precision(prec);
         if (prec == quant::Precision::kInt8) {
-          // A schedule-order mismatch (e.g. a calibration captured under a
-          // different fusion setting) makes int8 unservable for this key;
+          // A schedule-order mismatch (a calibration captured from a
+          // different program) makes int8 unservable for this key;
           // negative-cache it and let callers fall back to eager fp32.
           if (e.exec->set_calibration(im.model.quant_calibration())) {
             e.calib_gen = im.model.quant_calibration_gen();
@@ -347,12 +340,11 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
 bool capture_calibration(TransformerRegressor& model, const float* in,
                          size_t batch) {
   std::string why;
-  const bool fuse = FusedKernels::enabled();
-  const std::string rkey = predict_plan_key(model, batch, fuse);
+  const std::string rkey = predict_plan_key(model, batch);
   auto& reg = PlanRegistry::instance();
   auto prog = reg.find(rkey);
   if (!prog) {
-    prog = compile_predict(model, batch, fuse, &why);
+    prog = compile_predict(model, batch, &why);
     if (prog) prog = reg.insert(rkey, std::move(prog));
   }
   if (!prog) return false;

@@ -5,7 +5,7 @@
 //
 // Two planning paths exist:
 //  - PredictPlanner: eval-mode (no-grad) forwards. One CompiledProgram per
-//    (model shape, batch size, mask structure, fusion flag) key, shared
+//    (model shape, batch size, mask structure, precision) key, shared
 //    process-wide through the PlanRegistry; each model owns ProgramExec
 //    instances bound to its parameter storage. Steady-state planned predicts
 //    perform zero allocations and build no graph.
@@ -64,7 +64,7 @@ struct PlanStats {
 };
 
 /// Global keyed store of compiled predict programs. Keys are structural
-/// (model dims, batch, mask layout, fusion flag) and contain no parameter
+/// (model dims, batch, mask layout, precision) and contain no parameter
 /// values, so any number of model replicas with the same architecture share
 /// one immutable CompiledProgram per workload shape.
 class PlanRegistry {
@@ -96,11 +96,10 @@ class PlanRegistry {
 };
 
 /// Structural registry key for an eval-mode predict plan of @p model at
-/// @p batch rows with plan-time fusion @p fuse. Non-fp32 precisions append
-/// a ":q*" suffix so per-precision program variants register separately
-/// (fp32 keys are byte-identical to the pre-quantization format).
+/// @p batch rows. Non-fp32 precisions append a ":q*" suffix so
+/// per-precision program variants register separately.
 std::string predict_plan_key(
-    const TransformerRegressor& model, size_t batch, bool fuse,
+    const TransformerRegressor& model, size_t batch,
     tensor::quant::Precision prec = tensor::quant::Precision::kFp32);
 
 /// Compiles a predict plan for @p batch rows of @p in ([batch, n_tokens]
@@ -117,10 +116,10 @@ bool capture_calibration(TransformerRegressor& model, const float* in,
 /// feature matrix the input). Returns null and sets @p why when the forward
 /// is unplannable (e.g. attention capture enabled).
 std::shared_ptr<const tensor::plan::CompiledProgram> compile_predict(
-    TransformerRegressor& model, size_t batch, bool fuse, std::string* why);
+    TransformerRegressor& model, size_t batch, std::string* why);
 
 /// Per-model cache of bound predict-plan executors, keyed by (batch, mask
-/// structure, fusion flag, precision). The thread-local PrecisionMode
+/// structure, precision). The thread-local PrecisionMode
 /// selects the variant: bf16/int8 entries run reduced-precision GEMM panels
 /// (tensor/quant.hpp); an int8 request on a model without a calibration
 /// table downgrades to the fp32 variant, and any unplannable shape still

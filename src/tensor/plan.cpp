@@ -814,7 +814,7 @@ size_t plan_memory(Build& b) {
 std::shared_ptr<const CompiledProgram> compile(
     const Tracer& tracer,
     const std::unordered_map<const Node*, LeafBinding>& leaves,
-    const Node* output, const CompileOptions& opt, std::string* why) {
+    const Node* output, std::string* why) {
   std::string local_why;
   if (why == nullptr) why = &local_why;
   if (tracer.failed()) {
@@ -895,12 +895,10 @@ std::shared_ptr<const CompiledProgram> compile(
   b.output_cell = oit->second;
 
   pass_alias_reshapes(b);
-  if (opt.fuse) {
-    pass_fuse_attention(b);
-    pass_fuse_embed(b);
-    pass_fuse_gemm_epilogues(b);
-    pass_flatten_gemms(b);
-  }
+  pass_fuse_attention(b);
+  pass_fuse_embed(b);
+  pass_fuse_gemm_epilogues(b);
+  pass_flatten_gemms(b);
   pass_dce(b);
   const size_t arena = plan_memory(b);
 

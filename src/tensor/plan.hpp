@@ -286,10 +286,6 @@ struct LeafBinding {
   uint32_t slot = 0;
 };
 
-struct CompileOptions {
-  bool fuse = true;  // run the fusion passes (off: generic 1:1 schedule)
-};
-
 /// Immutable compiled plan. Shareable across model replicas: contains no
 /// pointers, only cell ids, external slot numbers and snapshot constants.
 /// Execution state (arena, bound pointers) lives in ProgramExec.
@@ -340,7 +336,7 @@ struct CompiledProgram {
 std::shared_ptr<const CompiledProgram> compile(
     const Tracer& tracer,
     const std::unordered_map<const Node*, LeafBinding>& leaves,
-    const Node* output, const CompileOptions& opt, std::string* why);
+    const Node* output, std::string* why);
 
 /// Executes one CompiledProgram against bound external pointers. One
 /// instance per (model, plan); the shared program itself is never mutated.

@@ -1,7 +1,7 @@
 // Reduced-precision serving kernels: bf16 storage conversion and per-tensor
 // symmetric int8 quantization with i8×i8→i32 GEMM panels (fp32 dequant
-// epilogue). Opt-in via the thread-local PrecisionMode policy, mirroring
-// FusedKernelsGuard: fp32 stays the default and remains bitwise-governed by
+// epilogue). Opt-in via the thread-local PrecisionMode policy (scoped by
+// PrecisionModeGuard): fp32 stays the default and remains bitwise-governed by
 // the kernels.hpp contract; bf16/int8 trade bitwise equality for throughput
 // under an explicit rank-correlation error contract (DESIGN.md §15).
 //

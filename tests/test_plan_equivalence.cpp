@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/chaos.hpp"
+#include "core/metadse.hpp"
 #include "core/parallel.hpp"
 #include "data/dataset.hpp"
 #include "meta/maml.hpp"
@@ -29,6 +30,7 @@ namespace nn = metadse::nn;
 namespace meta = metadse::meta;
 namespace data = metadse::data;
 namespace plan = metadse::nn::plan;
+namespace tp = metadse::tensor::plan;
 
 namespace {
 
@@ -166,6 +168,44 @@ TEST(PlanEquivalence, PredictWithInstalledMasksMatchesEager) {
   for (size_t i = 0; i < eager.size(); ++i) {
     expect_same_floats(eager[i], planned[i], "masked predict planned vs eager");
   }
+}
+
+// -- the fusion passes fire on the paper predictor ---------------------------
+
+// Planned == eager holds for the generic 1:1 schedule too, so the suites
+// above cannot tell whether the fusion passes ran. Pin it on the shape that
+// serving compiles: the paper's predictor, WAM masks on every layer, a
+// batch-128 predict.
+TEST(PlanEquivalence, PaperPredictorPlanFusesMaskedAttention) {
+  RegistryReset reset;
+  const nn::TransformerConfig cfg = metadse::core::FrameworkOptions().predictor;
+  t::Rng rng(59);
+  nn::TransformerRegressor model(cfg, rng);
+  t::Rng mr(7);
+  std::vector<float> m(cfg.n_tokens * cfg.n_tokens);
+  for (size_t i = 0; i < m.size(); ++i) {
+    m[i] = (i % 7 == 3) ? 0.0F : mr.uniform(0.05F, 1.0F);
+  }
+  model.install_mask_all_layers(
+      t::Tensor::from_vector({cfg.n_tokens, cfg.n_tokens}, std::move(m)));
+
+  std::string why;
+  const auto prog = plan::compile_predict(model, 128, &why);
+  ASSERT_NE(prog, nullptr) << why;
+  size_t fattn = 0;
+  for (const auto& ins : prog->instrs) {
+    if (ins.k != tp::IKind::kFAttn) continue;
+    ++fattn;
+    EXPECT_TRUE(ins.flag) << "fused attention lost its WAM mask";
+  }
+  EXPECT_EQ(fattn, model.layer_count());
+  EXPECT_GT(prog->fused_instrs, 0U);
+
+  // The fp32 key ends at the mask layout: no fusion suffix after it.
+  const std::string key = plan::predict_plan_key(model, 128);
+  EXPECT_EQ(key.substr(key.rfind(':')),
+            ":m" + std::string(model.layer_count(), '1'))
+      << key;
 }
 
 // -- planned inner steps: tape replay equals the eager loop ------------------

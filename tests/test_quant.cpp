@@ -449,21 +449,19 @@ t::Tensor random_input(size_t batch, size_t n_tokens, uint64_t seed) {
 TEST(QuantPlan, PerPrecisionPlanKeysAreDistinct) {
   t::Rng rng(5);
   nn::TransformerRegressor model(small_cfg(), rng);
-  const auto fp32 = nn::plan::predict_plan_key(model, 32, true);
+  const auto fp32 = nn::plan::predict_plan_key(model, 32);
   const auto bf16 =
-      nn::plan::predict_plan_key(model, 32, true, q::Precision::kBf16);
+      nn::plan::predict_plan_key(model, 32, q::Precision::kBf16);
   const auto int8 =
-      nn::plan::predict_plan_key(model, 32, true, q::Precision::kInt8);
-  // fp32 keys keep the pre-quantization format so existing registries and
-  // journal tooling see unchanged identifiers.
+      nn::plan::predict_plan_key(model, 32, q::Precision::kInt8);
+  // fp32 keys carry no precision suffix.
   EXPECT_EQ(fp32.find(":q"), std::string::npos) << fp32;
   EXPECT_NE(bf16.find(":q"), std::string::npos) << bf16;
   EXPECT_NE(int8.find(":q"), std::string::npos) << int8;
   EXPECT_NE(bf16, int8);
   EXPECT_NE(fp32, bf16);
   // Keys separate by batch as before.
-  EXPECT_NE(int8, nn::plan::predict_plan_key(model, 64, true,
-                                             q::Precision::kInt8));
+  EXPECT_NE(int8, nn::plan::predict_plan_key(model, 64, q::Precision::kInt8));
 }
 
 TEST(QuantCalib, CaptureSerializeRoundTripAndCorruption) {

@@ -2,10 +2,12 @@
 // (layer_norm_affine, softmax_masked_lastdim, bias_gelu), the fused
 // optimizer updates (Sgd/Adam clip_and_step), and the pooled tape arena
 // change where intermediate results live and how many passes run — never
-// the arithmetic. Learned weights and epoch traces must be identical to the
-// composed path for any thread count, the fused kernels must pass gradcheck,
-// and steady-state inner loops must run allocation-free (every buffer served
-// from the warm BufferPool).
+// the arithmetic. Each fused kernel must match its composed op chain bitwise,
+// forward and backward, at every thread count; learned weights and epoch
+// traces must not depend on the thread count; the fused kernels must pass
+// gradcheck; and steady-state inner loops must run allocation-free (every
+// buffer served from the warm BufferPool). These per-kernel diffs are the
+// reference for the fused path, which is the only one the model runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +15,6 @@
 
 #include "core/parallel.hpp"
 #include "meta/maml.hpp"
-#include "nn/fused.hpp"
 #include "nn/optim.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/gradcheck.hpp"
@@ -201,45 +202,6 @@ TEST(TrainFastPathEquivalence, BiasGeluGradcheck) {
                         << res.max_abs_err;
 }
 
-// -- whole-model fused-vs-composed (includes the masked-attention path) ------
-
-TEST(TrainFastPathEquivalence, MaskedModelForwardBackwardMatchesComposed) {
-  ThreadGuard guard;
-  for (size_t threads : kThreadSweep) {
-    metadse::set_threads(threads);
-    t::Rng rng(41);
-    nn::TransformerRegressor model(small_cfg(), rng);
-    model.install_mask_all_layers(wam_mask(24, 7));
-    auto peer = model.clone();
-    t::Rng xr(3);
-    auto x = t::Tensor::uniform({5, 24}, xr, 0.0F, 1.0F);
-    auto y = t::Tensor::randn({5, 1}, xr);
-
-    float fused_loss = 0.0F;
-    std::vector<std::vector<float>> fused_grads;
-    {
-      nn::FusedKernelsGuard on(true);
-      t::Rng fwd(0);
-      auto loss = t::mse_loss(model.forward(x, fwd, true), y);
-      loss.backward();
-      fused_loss = loss.item();
-      for (auto& p : model.parameters()) fused_grads.push_back(p.grad());
-    }
-    {
-      nn::FusedKernelsGuard off(false);
-      t::Rng fwd(0);
-      auto loss = t::mse_loss(peer->forward(x, fwd, true), y);
-      loss.backward();
-      ASSERT_EQ(fused_loss, loss.item());
-      auto params = peer->parameters();
-      ASSERT_EQ(fused_grads.size(), params.size());
-      for (size_t i = 0; i < params.size(); ++i) {
-        expect_same_floats(fused_grads[i], params[i].grad(), "model grad");
-      }
-    }
-  }
-}
-
 // -- fused optimizer updates -------------------------------------------------
 
 TEST(TrainFastPathEquivalence, SgdClipAndStepMatchesSeparatePasses) {
@@ -300,7 +262,7 @@ TEST(TrainFastPathEquivalence, AdamClipAndStepMatchesSeparatePasses) {
   }
 }
 
-// -- end-to-end: meta-training epochs, fused vs composed, thread sweep -------
+// -- end-to-end: meta-training epochs, thread sweep --------------------------
 
 TEST(TrainFastPathEquivalence, MamlEpochsBitwiseIdenticalAcrossPaths) {
   ThreadGuard guard;
@@ -323,32 +285,35 @@ TEST(TrainFastPathEquivalence, MamlEpochsBitwiseIdenticalAcrossPaths) {
   std::vector<meta::EpochTrace> ref_trace;
   for (size_t threads : kThreadSweep) {
     metadse::set_threads(threads);
-    for (bool fused : {true, false}) {
-      nn::FusedKernelsGuard g(fused);
-      meta::MamlTrainer trainer(cfg, opts);
-      trainer.train(train, {});
-      auto weights = trainer.model().flatten_parameters();
-      const auto& trace = trainer.trace();
-      if (ref_weights.empty()) {
-        ref_weights = weights;
-        ref_trace = trace;
-        continue;
-      }
-      expect_same_floats(ref_weights, weights, "learned weights");
-      ASSERT_EQ(ref_trace.size(), trace.size());
-      for (size_t e = 0; e < trace.size(); ++e) {
-        ASSERT_EQ(ref_trace[e].train_meta_loss, trace[e].train_meta_loss)
-            << "epoch " << e;
-        ASSERT_EQ(ref_trace[e].val_loss, trace[e].val_loss) << "epoch " << e;
-      }
+    meta::MamlTrainer trainer(cfg, opts);
+    trainer.train(train, {});
+    auto weights = trainer.model().flatten_parameters();
+    const auto& trace = trainer.trace();
+    if (ref_weights.empty()) {
+      ref_weights = weights;
+      ref_trace = trace;
+      continue;
+    }
+    expect_same_floats(ref_weights, weights, "learned weights");
+    ASSERT_EQ(ref_trace.size(), trace.size());
+    for (size_t e = 0; e < trace.size(); ++e) {
+      ASSERT_EQ(ref_trace[e].train_meta_loss, trace[e].train_meta_loss)
+          << "epoch " << e;
+      ASSERT_EQ(ref_trace[e].val_loss, trace[e].val_loss) << "epoch " << e;
     }
   }
 }
 
 // -- steady-state inner loops are allocation-free ----------------------------
 
+// The pool's free list is capped, so buffers of other shapes left on this
+// thread by earlier tests (e.g. the epoch sweep's smaller model) could fill
+// it and make the steady state depend on test order. Each steady-state test
+// therefore starts from an empty pool and warms it itself.
+
 TEST(TrainFastPathEquivalence, InnerLoopSteadyStateIsAllocationFree) {
   metadse::set_threads(1);
+  t::BufferPool::clear();
   t::Rng rng(53);
   nn::TransformerRegressor model(small_cfg(), rng);
   auto clone = model.clone();
@@ -381,6 +346,7 @@ TEST(TrainFastPathEquivalence, InnerLoopSteadyStateIsAllocationFree) {
 
 TEST(TrainFastPathEquivalence, AdaptCloneSteadyStateIsAllocationFree) {
   metadse::set_threads(1);
+  t::BufferPool::clear();
   t::Rng rng(59);
   nn::TransformerRegressor model(small_cfg(), rng);
   t::Rng xr(3);

@@ -884,15 +884,14 @@ int cmd_plan_dump(const Args& args) {
   const long batch_arg = args.num("batch", 1);
   if (batch_arg < 1) throw UsageError("plan-dump: --batch must be >= 1");
   const size_t batch = static_cast<size_t>(batch_arg);
-  const bool fuse = !args.has("no-fuse");
   const tensor::quant::Precision precision = precision_from(args);
   core::FrameworkOptions opts;
   tensor::Rng rng(static_cast<uint64_t>(args.num("seed", 2025)));
   nn::TransformerRegressor model(opts.predictor, rng);
   const std::string key =
-      nn::plan::predict_plan_key(model, batch, fuse, precision);
+      nn::plan::predict_plan_key(model, batch, precision);
   std::string why;
-  auto prog = nn::plan::compile_predict(model, batch, fuse, &why);
+  auto prog = nn::plan::compile_predict(model, batch, &why);
   if (!prog) {
     std::fprintf(stderr, "plan-dump: unplannable: %s\n", why.c_str());
     return 1;
@@ -959,7 +958,7 @@ void usage() {
       "                     tier; int8 writes <ckpt>.calib and both tiers\n"
       "                     fall back to fp32 if the rank-correlation error\n"
       "                     contract trips — DESIGN.md §15)\n"
-      "  plan-dump [--batch B --no-fuse --precision P]\n"
+      "  plan-dump [--batch B --precision P]\n"
       "                     compiled predict-plan schedule, per-instruction\n"
       "                     dtypes, buffer reuse map and static footprint\n"
       "  serve    --ckpt F --journal-dir D [--sessions N --replicas R\n"
