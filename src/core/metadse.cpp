@@ -559,7 +559,8 @@ explore::ParetoArchive MetaDseFramework::run_dse(
 explore::ParetoArchive MetaDseFramework::run_dse(
     const AdaptedPredictor& predictor, const data::Dataset& support,
     const std::string& workload, const DseOptions& dse_options,
-    data::DatasetGenerator& generator, explore::RunReport& report) const {
+    const data::DatasetGenerator& generator,
+    explore::RunReport& report) const {
   const workload::Workload& wl = suite_.by_name(workload);
 
   // Pre-run error contract for reduced-precision serving: measure the rank

@@ -78,7 +78,7 @@ struct AdaptedPredictor {
 /// @p precision: predicts a deterministic Latin-hypercube batch of
 /// @p n_points designs from @p space under fp32 and under @p precision and
 /// compares rankings. fp32 trivially passes. The batch is seeded by
-/// @p seed only, so every replica of one workload measures the same rho.
+/// @p seed only, so every session of one workload measures the same rho.
 QuantContract check_quant_contract(const AdaptedPredictor& predictor,
                                    const arch::DesignSpace& space,
                                    tensor::quant::Precision precision,
@@ -190,7 +190,7 @@ class MetaDseFramework {
     /// row, in order. The serving layer points this at a cross-session
     /// BatchCoalescer; any implementation must be pointwise bitwise-equal to
     /// predictor.predict_batch(rows) or DSE results change. The simulated
-    /// power leg stays on the session's own generator either way.
+    /// power leg stays on the caller's generator either way.
     /// explore::ExplorationAborted thrown from here aborts the run (the
     /// journal preserves progress); other exceptions are contained by the
     /// guard as ordinary evaluation failures.
@@ -218,15 +218,16 @@ class MetaDseFramework {
                                  const DseOptions& dse_options);
 
   /// Re-entrant form of run_dse for concurrent sessions (the serving core):
-  /// the caller supplies the simulator generator (arm a per-session fault
-  /// plan on it if wanted) and the report sink, so nothing on the framework
-  /// mutates. Safe to call from several threads at once on one framework as
-  /// long as each call gets its own generator and report.
+  /// the caller supplies the simulator generator (it may carry a fault
+  /// plan) and the report sink, so nothing on the framework mutates. Safe
+  /// to call from several threads at once on one framework, one predictor
+  /// and one generator (evaluate() is const and pure) as long as each call
+  /// gets its own report.
   explore::ParetoArchive run_dse(const AdaptedPredictor& predictor,
                                  const data::Dataset& support,
                                  const std::string& workload,
                                  const DseOptions& dse_options,
-                                 data::DatasetGenerator& generator,
+                                 const data::DatasetGenerator& generator,
                                  explore::RunReport& report) const;
 
   /// Accounting for the most recent run_dse() call.

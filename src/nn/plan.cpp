@@ -175,19 +175,30 @@ struct PredictPlanner::Impl {
     }
   }
 
-  struct Entry {
-    std::unique_ptr<tp::ProgramExec> exec;  // null => negative (unplannable)
-    // Per external slot: source node (params, then masks in layer order),
-    // last bound data pointer, and expected element count. Revalidated each
-    // run so parameter updates in place cost nothing and buffer reallocation
-    // or mask replacement only triggers a rebind.
+  /// One executor bound to the model's storage. Per external slot: source
+  /// node (params, then masks in layer order), last bound data pointer, and
+  /// expected element count. Revalidated on every run so parameter updates
+  /// in place cost nothing and buffer reallocation or mask replacement only
+  /// triggers a rebind.
+  struct Exec {
+    explicit Exec(std::shared_ptr<const tp::CompiledProgram> prog)
+        : exec(std::move(prog)) {}
+    tp::ProgramExec exec;
     std::vector<const t::Node*> ext_nodes;
     std::vector<const float*> bound;
     std::vector<size_t> ext_size;
-    size_t n_params = 0;
-    // int8 entries: model calibration generation the executor was fed, so a
+    // int8: model calibration generation the executor was fed, so a
     // re-captured table reaches an already-bound executor on the next run.
     uint64_t calib_gen = 0;
+  };
+
+  /// One key's program and its idle executors. A caller takes an idle
+  /// executor (or binds a new one) under the lock and runs it outside, so
+  /// concurrent predicts on one model each get their own arena.
+  struct Entry {
+    std::shared_ptr<const tp::CompiledProgram> prog;  // null => unplannable
+    std::vector<std::unique_ptr<Exec>> idle;
+    size_t taken = 0;  // executors currently held by callers
   };
 
   // batch, mask bits, precision
@@ -218,20 +229,54 @@ struct PredictPlanner::Impl {
     }
   }
 
-  bool bind_entry(Entry& e) {
+  /// Binds a new executor of @p prog at @p prec; null when the model's
+  /// leaves no longer match the program or an int8 calibration table does
+  /// not fit its schedule.
+  std::unique_ptr<Exec> make_exec(
+      std::shared_ptr<const tp::CompiledProgram> prog,
+      quant::Precision prec) const {
+    const size_t n_external = prog->n_external;
+    auto x = std::make_unique<Exec>(std::move(prog));
     std::vector<const t::Node*> masks;
     collect_masks(masks);
-    if (e.ext_nodes.size() != e.n_params + masks.size()) return false;
-    for (size_t i = 0; i < e.ext_nodes.size(); ++i) {
+    x->ext_nodes = param_nodes;
+    x->ext_nodes.insert(x->ext_nodes.end(), masks.begin(), masks.end());
+    if (x->ext_nodes.size() != n_external) return nullptr;
+    for (size_t i = 0; i < x->ext_nodes.size(); ++i) {
+      x->bound.push_back(x->ext_nodes[i]->value.data());
+      x->ext_size.push_back(x->ext_nodes[i]->value.size());
+      x->exec.bind_external(static_cast<uint32_t>(i), x->bound.back());
+    }
+    x->exec.set_precision(prec);
+    if (prec == quant::Precision::kInt8) {
+      if (!x->exec.set_calibration(model.quant_calibration())) return nullptr;
+      x->calib_gen = model.quant_calibration_gen();
+    }
+    return x;
+  }
+
+  /// Revalidates @p x against the model's current storage and calibration.
+  /// Touches only @p x and reads the model, so it runs outside the lock.
+  bool refresh(Exec& x, quant::Precision prec) const {
+    std::vector<const t::Node*> masks;
+    collect_masks(masks);
+    const size_t n_params = param_nodes.size();
+    if (x.ext_nodes.size() != n_params + masks.size()) return false;
+    for (size_t i = 0; i < x.ext_nodes.size(); ++i) {
       const t::Node* node =
-          i < e.n_params ? param_nodes[i] : masks[i - e.n_params];
+          i < n_params ? param_nodes[i] : masks[i - n_params];
       const float* p = node->value.data();
-      if (node != e.ext_nodes[i] || p != e.bound[i]) {
-        if (node->value.size() != e.ext_size[i]) return false;
-        e.exec->bind_external(static_cast<uint32_t>(i), p);
-        e.ext_nodes[i] = node;
-        e.bound[i] = p;
+      if (node != x.ext_nodes[i] || p != x.bound[i]) {
+        if (node->value.size() != x.ext_size[i]) return false;
+        x.exec.bind_external(static_cast<uint32_t>(i), p);
+        x.ext_nodes[i] = node;
+        x.bound[i] = p;
       }
+    }
+    if (prec == quant::Precision::kInt8 &&
+        x.calib_gen != model.quant_calibration_gen()) {
+      if (!x.exec.set_calibration(model.quant_calibration())) return false;
+      x.calib_gen = model.quant_calibration_gen();
     }
     return true;
   }
@@ -250,13 +295,6 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
     reg.note_fallback();
     return false;
   }
-  // Concurrent predicts on one model serialize on the arena; a contended
-  // caller runs the bitwise-identical eager path instead of waiting.
-  std::unique_lock<std::mutex> lock(im.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    reg.note_fallback();
-    return false;
-  }
   // Effective precision for this run: int8 without a captured calibration
   // table downgrades to fp32 (serving before adapt-time calibration, or a
   // model whose calibration failed to capture).
@@ -266,72 +304,68 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
     prec = quant::Precision::kFp32;
   }
   const Impl::Key key{batch, im.mask_bits(), static_cast<uint8_t>(prec)};
-  auto it = im.entries.find(key);
-  if (it == im.entries.end()) {
-    if (im.entries.size() >= Impl::kMaxEntries) im.entries.clear();
-    Impl::Entry e;
-    const std::string rkey = predict_plan_key(im.model, batch, prec);
-    auto prog = reg.find(rkey);
-    const bool from_registry = prog != nullptr;
-    if (!prog) {
-      std::string why;
-      prog = compile_predict(im.model, batch, &why);
-      if (prog) prog = reg.insert(rkey, std::move(prog));
-    }
-    if (prog) {
-      e.exec = std::make_unique<tp::ProgramExec>(prog);
-      e.n_params = im.param_nodes.size();
-      std::vector<const t::Node*> masks;
-      im.collect_masks(masks);
-      e.ext_nodes = im.param_nodes;
-      e.ext_nodes.insert(e.ext_nodes.end(), masks.begin(), masks.end());
-      if (e.ext_nodes.size() == prog->n_external) {
-        for (size_t i = 0; i < e.ext_nodes.size(); ++i) {
-          e.bound.push_back(e.ext_nodes[i]->value.data());
-          e.ext_size.push_back(e.ext_nodes[i]->value.size());
-          e.exec->bind_external(static_cast<uint32_t>(i), e.bound.back());
-        }
-        e.exec->set_precision(prec);
-        if (prec == quant::Precision::kInt8) {
-          // A schedule-order mismatch (a calibration captured from a
-          // different program) makes int8 unservable for this key;
-          // negative-cache it and let callers fall back to eager fp32.
-          if (e.exec->set_calibration(im.model.quant_calibration())) {
-            e.calib_gen = im.model.quant_calibration_gen();
-          } else {
-            e.exec.reset();
-          }
-        }
-      } else {
-        e.exec.reset();  // leaf classification drifted; never plan this key
+  Impl::Entry* entry = nullptr;
+  std::unique_ptr<Impl::Exec> x;
+  // A run served by a program already registered (by this model or another
+  // one of the same architecture) is a cache hit; only the compiling run
+  // itself isn't.
+  bool hit = true;
+  {
+    std::lock_guard<std::mutex> lock(im.mu);
+    auto it = im.entries.find(key);
+    if (it == im.entries.end()) {
+      if (im.entries.size() >= Impl::kMaxEntries) {
+        std::erase_if(im.entries,
+                      [](const auto& kv) { return kv.second.taken == 0; });
       }
+      Impl::Entry e;
+      const std::string rkey = predict_plan_key(im.model, batch, prec);
+      e.prog = reg.find(rkey);
+      hit = e.prog != nullptr;
+      if (!e.prog) {
+        std::string why;
+        e.prog = compile_predict(im.model, batch, &why);
+        if (e.prog) e.prog = reg.insert(rkey, std::move(e.prog));
+      }
+      // A first executor that cannot bind (leaf classification drifted, or
+      // an int8 table from a different schedule) makes the key unservable;
+      // negative-cache it and let callers fall back to eager fp32.
+      if (e.prog) {
+        x = im.make_exec(e.prog, prec);
+        if (!x) e.prog.reset();
+      }
+      it = im.entries.emplace(key, std::move(e)).first;
     }
-    it = im.entries.emplace(key, std::move(e)).first;
-    if (!it->second.exec) {
+    entry = &it->second;
+    if (!entry->prog) {
       reg.note_fallback();
       return false;
     }
-    it->second.exec->run(in, out);
-    // A run served by a program another replica already registered is a
-    // cache hit; only the compiling run itself isn't.
-    if (from_registry) reg.note_hit();
-    return true;
+    if (!x && !entry->idle.empty()) {
+      x = std::move(entry->idle.back());
+      entry->idle.pop_back();
+    }
+    if (!x) x = im.make_exec(entry->prog, prec);
+    if (!x) {
+      reg.note_fallback();
+      return false;
+    }
+    ++entry->taken;
   }
-  Impl::Entry& e = it->second;
-  if (!e.exec || !im.bind_entry(e)) {
+  const bool ok = im.refresh(*x, prec);
+  if (ok) x->exec.run(in, out);
+  {
+    // The entry cannot have been evicted while this caller held one of
+    // its executors.
+    std::lock_guard<std::mutex> lock(im.mu);
+    --entry->taken;
+    entry->idle.push_back(std::move(x));
+  }
+  if (!ok) {
     reg.note_fallback();
     return false;
   }
-  if (prec == quant::Precision::kInt8 &&
-      e.calib_gen != im.model.quant_calibration_gen()) {
-    if (!e.exec->set_calibration(im.model.quant_calibration())) {
-      reg.note_fallback();
-      return false;
-    }
-    e.calib_gen = im.model.quant_calibration_gen();
-  }
-  e.exec->run(in, out);
-  reg.note_hit();
+  if (hit) reg.note_hit();
   return true;
 }
 

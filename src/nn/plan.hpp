@@ -1,6 +1,6 @@
 // Policy layer over the static-execution-plan mechanism (tensor/plan.hpp):
 // decides which trace leaves are parameters vs masks vs the batch input,
-// keys compiled programs so replicas share them, caches per-model executors,
+// keys compiled programs so models share them, caches per-model executors,
 // and replays captured training tapes for the MAML inner loop.
 //
 // Two planning paths exist:
@@ -125,10 +125,10 @@ std::shared_ptr<const tensor::plan::CompiledProgram> compile_predict(
 /// table downgrades to the fp32 variant, and any unplannable shape still
 /// falls back to eager fp32. Negative-caches unplannable keys; revalidates
 /// external storage pointers every run and rebinds after parameter
-/// reallocation
-/// or mask replacement. Concurrent run() calls on one model serialize via
-/// try-lock — a contended caller simply falls back to the (bitwise
-/// identical) eager path.
+/// reallocation or mask replacement. Each key keeps a list of idle bound
+/// executors: a caller takes one (or binds a new one when none is idle),
+/// runs it outside the lock and returns it, so concurrent run() calls on
+/// one shared model all stay planned and none waits on another's forward.
 class PredictPlanner {
  public:
   explicit PredictPlanner(TransformerRegressor& model);

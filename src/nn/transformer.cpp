@@ -53,6 +53,7 @@ TransformerRegressor::TransformerRegressor(const TransformerConfig& cfg,
   register_child(final_ln_);
   register_child(head1_);
   register_child(head2_);
+  planner_ = std::make_unique<plan::PredictPlanner>(*this);
 }
 
 TransformerRegressor::~TransformerRegressor() = default;
@@ -79,7 +80,6 @@ Tensor TransformerRegressor::forward(const Tensor& x, Rng& rng, bool train) {
 std::vector<float> TransformerRegressor::predict_one(
     const std::vector<float>& features) {
   if (plan::PlanMode::enabled() && features.size() == cfg_.n_tokens) {
-    if (!planner_) planner_ = std::make_unique<plan::PredictPlanner>(*this);
     std::vector<float> out(cfg_.n_outputs);
     if (planner_->run(1, features.data(), out.data())) return out;
   }
@@ -106,7 +106,6 @@ std::vector<std::vector<float>> TransformerRegressor::predict_batch(
   const size_t no = cfg_.n_outputs;
   std::vector<std::vector<float>> out(rows.size());
   if (plan::PlanMode::enabled()) {
-    if (!planner_) planner_ = std::make_unique<plan::PredictPlanner>(*this);
     std::vector<float> flat_out(rows.size() * no);
     if (planner_->run(rows.size(), flat.data(), flat_out.data())) {
       for (size_t i = 0; i < rows.size(); ++i) {

@@ -118,9 +118,11 @@ class TransformerRegressor : public Module {
   Rng eval_rng_{0};  ///< inert rng for eval-mode forwards
   std::vector<float> quant_calib_;  ///< int8 activation absmax (plan order)
   uint64_t quant_calib_gen_ = 0;
-  /// Lazily built cache of compiled predict plans (nn/plan.hpp). The eager
-  /// forward() path never touches it; predict_one/predict_batch consult it
-  /// first and fall back to eager for unplannable shapes.
+  /// Cache of compiled predict plans (nn/plan.hpp), built in the
+  /// constructor so concurrent first predicts on a shared model never race
+  /// on it. The eager forward() path never touches it; predict_one/
+  /// predict_batch consult it first and fall back to eager for unplannable
+  /// shapes.
   std::unique_ptr<plan::PredictPlanner> planner_;
 };
 

@@ -1,5 +1,5 @@
-// Replicated-instance pool: N predictor slots, each leased to at most one
-// session at a time. Dispatch is round-robin with a try-acquire sweep (the
+// Replica pool: N session slots, each leased to at most one session at a
+// time. Dispatch is round-robin with a try-acquire sweep (the
 // cuBERT BertM pattern): start at the slot after the last one handed out,
 // take the first free idle slot, and only block when every dispatchable
 // slot is busy.

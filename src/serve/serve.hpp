@@ -155,30 +155,12 @@ struct ServerStats {
   /// from the session engine's BatchCoalescers (0 when coalescing is off).
   size_t coalesced_batches = 0;
   size_t coalesced_points = 0;
-  /// Static-execution-plan accounting, pulled from the process-wide plan
-  /// registry (all zeros when no plan-stats source is installed). Replicas
-  /// share compiled programs, so plans_compiled stays flat as replicas
-  /// scale while plan_cache_hits tracks serving volume.
-  size_t plans_compiled = 0;
-  size_t plan_cache_hits = 0;
-  size_t plan_fallbacks = 0;
-  size_t plan_static_bytes = 0;
   /// Reduced-precision serving accounting: sessions that ran their DSE loop
   /// at a quantized tier, and sessions that requested one but fell back to
   /// fp32 because the quantization error contract tripped (DESIGN.md §15).
   /// quant_fallbacks counts against quant_sessions' requests, not ok.
   size_t quant_sessions = 0;
   size_t quant_fallbacks = 0;
-};
-
-/// Snapshot of the plan registry's counters in serve-layer terms (the
-/// CoalesceStats pattern: the engine adapts the registry's struct so
-/// ServerCore needs no nn dependency).
-struct PlanExecStats {
-  size_t plans_compiled = 0;
-  size_t cache_hits = 0;
-  size_t fallbacks = 0;
-  size_t static_bytes = 0;
 };
 
 /// Per-dispatch context handed to the session executor.

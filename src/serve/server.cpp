@@ -407,13 +407,6 @@ ServerStats ServerCore::stats() const {
     s.coalesced_batches = c.coalesced_batches;
     s.coalesced_points = c.coalesced_points;
   }
-  if (plan_source_) {
-    const PlanExecStats p = plan_source_();
-    s.plans_compiled = p.plans_compiled;
-    s.plan_cache_hits = p.cache_hits;
-    s.plan_fallbacks = p.fallbacks;
-    s.plan_static_bytes = p.static_bytes;
-  }
   return s;
 }
 

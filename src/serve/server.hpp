@@ -62,19 +62,12 @@ class ServerCore {
     coalesce_source_ = std::move(source);
   }
 
-  /// Installs the source of static-execution-plan counters surfaced by
-  /// stats() (typically MetaDseSessionEngine::plan_stats). Call before
-  /// serving starts; not thread-safe against concurrent stats().
-  void set_plan_stats(std::function<PlanExecStats()> source) {
-    plan_source_ = std::move(source);
-  }
-
-  /// Rebuilds one condemned replica so the supervisor can readmit it
-  /// (typically MetaDseSessionEngine::rebuild_replica: re-adapt every
-  /// workload on the slot — warm, checkpoint-free, one adapt_to per
-  /// workload). Returns false (or throws) to report the rebuild failed,
-  /// which quarantines the slot. Runs on the supervisor thread while the
-  /// slot is out of dispatch, so it may mutate per-replica state freely.
+  /// Rebuilds one condemned replica so the supervisor can readmit it, for
+  /// executors that keep per-slot state. Returns false (or throws) to
+  /// report the rebuild failed, which quarantines the slot. Runs on the
+  /// supervisor thread while the slot is out of dispatch, so it may mutate
+  /// per-replica state freely. MetaDseSessionEngine keeps no per-slot state
+  /// (every slot reads the same adapted predictors), so it installs none.
   using ReplicaRebuilder = std::function<bool(size_t replica)>;
 
   /// Installs the rebuilder. Without one, condemned slots are readmitted
@@ -143,7 +136,6 @@ class ServerCore {
   std::atomic<size_t> replicas_quarantined_{0};
 
   std::function<CoalesceStats()> coalesce_source_;
-  std::function<PlanExecStats()> plan_source_;
   ReplicaRebuilder rebuilder_;
   /// Recent rebuild completion times per slot (supervisor thread only) —
   /// the sliding window behind replica_rebuild_limit.

@@ -10,44 +10,32 @@
 #include "core/chaos.hpp"
 #include "core/io.hpp"
 #include "core/parallel.hpp"
-#include "nn/plan.hpp"
 
 namespace metadse::serve {
 
 MetaDseSessionEngine::MetaDseSessionEngine(
     const core::MetaDseFramework& framework, size_t replicas, Options options)
-    : framework_(framework), options_(std::move(options)) {
+    : framework_(framework),
+      replicas_(replicas),
+      options_(std::move(options)),
+      generator_(framework_.space()) {
   if (replicas == 0) {
     throw std::invalid_argument(
         "MetaDseSessionEngine: need at least one replica");
-  }
-  generators_.reserve(replicas);
-  for (size_t r = 0; r < replicas; ++r) {
-    generators_.emplace_back(framework_.space());
   }
 }
 
 void MetaDseSessionEngine::add_workload(const std::string& name,
                                         const data::Dataset& support) {
-  WorkloadEntry entry;
-  entry.support = &support;
-  entry.predictors.reserve(generators_.size());
-  for (size_t r = 0; r < generators_.size(); ++r) {
-    // adapt_to is const and deterministic: every replica gets a
-    // bitwise-identical clone of the adapted model.
-    entry.predictors.push_back(framework_.adapt_to(support));
-  }
+  WorkloadEntry& entry = workloads_[name] =
+      WorkloadEntry{&support, framework_.adapt_to(support), nullptr};
   if (options_.coalesce) {
-    // One more identical clone, reserved for fused cross-session batches.
-    // Any clone produces the same bits for any row, so which model answers
-    // a prediction — and what else rides in its batch — cannot change a
-    // session's values.
-    entry.fused_predictor = std::make_unique<core::AdaptedPredictor>(
-        framework_.adapt_to(support));
+    // The coalescer's fused batches run on the same predictor the sessions
+    // read. Every row's bits are independent of what else rides in its
+    // batch, so coalescing cannot change a session's values.
     entry.coalescer = std::make_unique<BatchCoalescer>(
         *options_.coalesce,
-        [model = entry.fused_predictor.get()](const BatchCoalescer::Rows&
-                                                  rows) {
+        [model = &entry.predictor](const BatchCoalescer::Rows& rows) {
           // The flushing thread may be the ticker (no serial region yet) or
           // a session worker (already serial): pin the fused forward to the
           // inline schedule either way so its kernels match the
@@ -55,17 +43,6 @@ void MetaDseSessionEngine::add_workload(const std::string& name,
           core::SerialRegionGuard serial;
           return model->predict_batch(rows);
         });
-  }
-  workloads_[name] = std::move(entry);
-}
-
-void MetaDseSessionEngine::rebuild_replica(size_t replica) {
-  if (replica >= generators_.size()) {
-    throw std::out_of_range("rebuild_replica: replica id out of range");
-  }
-  generators_[replica] = data::DatasetGenerator(framework_.space());
-  for (auto& [name, entry] : workloads_) {
-    entry.predictors[replica] = framework_.adapt_to(*entry.support);
   }
 }
 
@@ -109,11 +86,11 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
     throw std::runtime_error("serve: workload \"" + request.workload +
                              "\" is not registered with the session engine");
   }
-  if (ctx.replica >= generators_.size()) {
+  if (ctx.replica >= replicas_) {
     throw std::logic_error("serve: replica id " +
                            std::to_string(ctx.replica) +
                            " out of range (engine has " +
-                           std::to_string(generators_.size()) + ")");
+                           std::to_string(replicas_) + ")");
   }
 
   core::MetaDseFramework::DseOptions dse = options_.dse;
@@ -140,7 +117,7 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
           "the watchdog; journal preserves progress)");
     }
   };
-  // The coalescer's fused predictor always answers at fp32 (its bitwise-
+  // The coalescer's fused batches always run at fp32 (their bitwise-
   // equality contract with predict_batch is what makes cross-session
   // batching safe); a reduced-precision session therefore serves its own
   // forwards instead of riding fused batches.
@@ -173,9 +150,9 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
   }
 
   explore::RunReport report;
-  const explore::ParetoArchive archive = framework_.run_dse(
-      it->second.predictors[ctx.replica], *it->second.support,
-      request.workload, dse, generators_[ctx.replica], report);
+  const explore::ParetoArchive archive =
+      framework_.run_dse(it->second.predictor, *it->second.support,
+                         request.workload, dse, generator_, report);
 
   ExecResult out;
   out.degraded = report.degraded() || report.cancelled > 0;
@@ -233,17 +210,7 @@ const std::vector<float>& MetaDseSessionEngine::workload_calibration(
     throw std::runtime_error("workload_calibration: workload \"" + name +
                              "\" is not registered with the session engine");
   }
-  return it->second.predictors.front().model->quant_calibration();
-}
-
-PlanExecStats MetaDseSessionEngine::plan_stats() const {
-  const nn::plan::PlanStats s = nn::plan::PlanRegistry::instance().stats();
-  PlanExecStats out;
-  out.plans_compiled = s.plans_compiled;
-  out.cache_hits = s.cache_hits;
-  out.fallbacks = s.fallbacks;
-  out.static_bytes = s.static_bytes;
-  return out;
+  return it->second.predictor.model->quant_calibration();
 }
 
 }  // namespace metadse::serve

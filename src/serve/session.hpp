@@ -1,11 +1,12 @@
 // MetaDseSessionEngine: binds ServerCore's generic SessionExecutor contract
-// to the real pipeline. Each registered workload is adapted once per replica
-// (adapt_to is deterministic, so the replicas are identical clones — the
-// replicated-instance pattern), each replica gets its own DatasetGenerator,
-// and each session runs the journaled guarded DSE loop through the
-// framework's re-entrant run_dse overload. A finished session publishes its
-// Pareto front atomically to "<front_dir>/front_<id>.txt" (hexfloat, so a
-// resumed run's bitwise-identical archive produces a byte-identical file).
+// to the real pipeline. Each registered workload is adapted once (MAML
+// fine-tuning plus the WAM mask on its K-shot support set); every replica,
+// worker and the coalescer read that one immutable AdaptedPredictor, and
+// every session shares the engine's one DatasetGenerator (its evaluate() is
+// const and pure). Each session runs the journaled guarded DSE loop through
+// the framework's re-entrant run_dse overload. A finished session publishes
+// its Pareto front atomically to "<front_dir>/front_<id>.txt" (hexfloat, so
+// a resumed run's bitwise-identical archive produces a byte-identical file).
 #pragma once
 
 #include <map>
@@ -30,9 +31,9 @@ class MetaDseSessionEngine {
     /// Directory for published fronts; empty disables publication.
     std::string front_dir;
     /// Cross-session batch coalescing: when set, every workload gets a
-    /// BatchCoalescer backed by a dedicated (bitwise-identical) predictor
-    /// clone, and sessions route their surrogate-IPC predictions through it
-    /// (DseOptions::predict_rows) instead of their replica's predictor.
+    /// BatchCoalescer backed by the workload's predictor, and sessions route
+    /// their surrogate-IPC predictions through it (DseOptions::predict_rows)
+    /// instead of calling the predictor themselves.
     /// Values — and therefore fronts and journals — are unchanged; only the
     /// GEMM granularity is (see DESIGN.md §12). nullopt = per-session
     /// forwards, the PR 6 behaviour.
@@ -40,21 +41,14 @@ class MetaDseSessionEngine {
   };
 
   /// @p framework must outlive the engine and be pretrained (or loaded).
+  /// @p replicas (at least 1) bounds ExecContext::replica; a replica slot
+  /// owns no state, so ServerCore needs no rebuilder for this engine.
   MetaDseSessionEngine(const core::MetaDseFramework& framework,
                        size_t replicas, Options options);
 
-  /// Adapts @p support for every replica and registers the workload. Not
-  /// thread-safe; call before serving starts.
+  /// Adapts @p support once and registers the workload. Not thread-safe;
+  /// call before serving starts.
   void add_workload(const std::string& name, const data::Dataset& support);
-
-  /// Rebuilds one replica slot from scratch: a fresh simulator generator
-  /// and a fresh adapt_to clone of every registered workload (warm — the
-  /// pretrained model is shared, so the cost is one adaptation per
-  /// workload; no checkpoint reload). adapt_to is deterministic, so the
-  /// rebuilt replica is bitwise-identical to the original. Intended as the
-  /// ServerCore replica rebuilder; must only run while the slot is out of
-  /// dispatch (the supervisor guarantees this).
-  void rebuild_replica(size_t replica);
 
   /// The bound executor (captures `this`; the engine must outlive the
   /// ServerCore using it).
@@ -73,26 +67,19 @@ class MetaDseSessionEngine {
   CoalesceStats coalesce_stats() const;
   bool coalescing() const { return options_.coalesce.has_value(); }
 
-  /// Static-execution-plan counters from the process-wide plan registry
-  /// (replicas share compiled programs through it). Thread-safe.
-  PlanExecStats plan_stats() const;
-
   /// The int8 activation-calibration table captured when @p name was
-  /// adapted (replica 0's — all replicas are bitwise-identical clones, so
-  /// the tables match). Empty when no calibration was captured. Not
-  /// thread-safe against add_workload; throws if @p name is unregistered.
+  /// adapted. Empty when no calibration was captured. Not thread-safe
+  /// against add_workload; throws if @p name is unregistered.
   const std::vector<float>& workload_calibration(const std::string& name)
       const;
 
  private:
   struct WorkloadEntry {
     const data::Dataset* support;
-    /// One adapted predictor per replica, all bitwise-identical.
-    std::vector<core::AdaptedPredictor> predictors;
-    /// Coalescing only: one more identical clone, owned by the coalescer's
-    /// fused executor so cross-session batches never contend with a
-    /// replica's own (uncoalesced) predictor use.
-    std::unique_ptr<core::AdaptedPredictor> fused_predictor;
+    /// The adapted predictor every session (and the coalescer) reads. The
+    /// coalescer's callback holds its address, so an entry is never moved
+    /// once it sits in workloads_.
+    core::AdaptedPredictor predictor;
     std::unique_ptr<BatchCoalescer> coalescer;
   };
 
@@ -100,11 +87,12 @@ class MetaDseSessionEngine {
                          const ExecContext& ctx);
 
   const core::MetaDseFramework& framework_;
+  size_t replicas_;
   Options options_;
   std::map<std::string, WorkloadEntry> workloads_;
-  /// One simulator generator per replica: a replica serves one session at a
-  /// time, so its generator is never used concurrently.
-  std::vector<data::DatasetGenerator> generators_;
+  /// Simulator for every session's power leg (evaluate() is const and
+  /// pure, so concurrent sessions share it).
+  data::DatasetGenerator generator_;
 };
 
 }  // namespace metadse::serve

@@ -991,7 +991,7 @@ size_t CompiledProgram::static_bytes(quant::Precision p) const {
 
 /// Packed-weight sidecar for one quantizable gemm. Rebuilt whenever an
 /// external rebinds (weights changed) or the calibration table is replaced;
-/// in steady-state serving that is once per replica.
+/// in steady-state serving that is once per bound executor.
 struct ProgramExec::QuantGemm {
   size_t instr = 0;
   quant::QuantizedWeight w8;   // int8 tier

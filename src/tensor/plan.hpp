@@ -354,7 +354,7 @@ class ProgramExec {
   /// pointer must stay valid across run() calls; rebind after anything that
   /// reallocates the underlying buffer. Rebinding invalidates the packed
   /// quantized weights (they are re-derived on the next reduced-precision
-  /// run), so weight quantization happens once per replica in steady state.
+  /// run), so weight quantization happens once per executor in steady state.
   void bind_external(uint32_t slot, const float* p);
 
   /// Selects the precision tier for subsequent run() calls. fp32 (the

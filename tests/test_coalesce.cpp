@@ -27,6 +27,7 @@
 #include "core/metadse.hpp"
 #include "core/parallel.hpp"
 #include "explore/guarded.hpp"
+#include "nn/plan.hpp"
 #include "serve/coalesce.hpp"
 #include "serve/session.hpp"
 
@@ -621,6 +622,10 @@ std::string run_engine_sessions(core::MetaDseFramework& fw,
   engine.add_workload(kWorkload, support);
   auto executor = engine.executor();
 
+  // Every session (and the coalescer) predicts on the workload's one
+  // adapted model; concurrent use must never push a forward off the plan.
+  auto& plans = metadse::nn::plan::PlanRegistry::instance();
+  const uint64_t fallbacks_before = plans.stats().fallbacks;
   std::atomic<size_t> next{0};
   std::atomic<size_t> failures{0};
   std::vector<std::thread> threads;
@@ -648,6 +653,9 @@ std::string run_engine_sessions(core::MetaDseFramework& fw,
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0U);
+  EXPECT_EQ(plans.stats().fallbacks, fallbacks_before)
+      << "a session on the shared model fell back to eager (coalesce="
+      << coalesce << ", threads=" << session_threads << ")";
 
   if (coalesce) {
     const auto s = engine.coalesce_stats();

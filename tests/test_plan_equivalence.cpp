@@ -474,9 +474,44 @@ TEST(PlanEquivalence, InjectedCompileFaultNegativeCachesAndFallsBackBitwise) {
   }
 }
 
-// -- try-lock contention: concurrent predicts fall back, never block ----------
+// -- concurrent predicts on one shared model ---------------------------------
 
-TEST(PlanEquivalence, ContendedPredictsFallBackEagerWithIdenticalBits) {
+namespace {
+
+constexpr size_t kHammerThreads = 8;
+
+/// Starts kHammerThreads threads at once on @p model; each runs @p iters
+/// predict_batch(rows) calls. Returns true when any result differs from
+/// @p eager in any bit.
+bool hammer_differs(nn::TransformerRegressor& model,
+                    const std::vector<std::vector<float>>& rows,
+                    const std::vector<std::vector<float>>& eager,
+                    int iters) {
+  std::atomic<bool> mismatch{false};
+  std::atomic<size_t> start_gate{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kHammerThreads);
+  for (size_t tid = 0; tid < kHammerThreads; ++tid) {
+    threads.emplace_back([&] {
+      start_gate.fetch_add(1);
+      while (start_gate.load() < kHammerThreads) {}
+      for (int iter = 0; iter < iters; ++iter) {
+        const auto got = model.predict_batch(rows);
+        for (size_t i = 0; i < got.size(); ++i) {
+          for (size_t j = 0; j < got[i].size(); ++j) {
+            if (got[i][j] != eager[i][j]) mismatch.store(true);
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  return mismatch.load();
+}
+
+}  // namespace
+
+TEST(PlanEquivalence, ConcurrentPredictsStayPlannedWithIdenticalBits) {
   ThreadGuard guard;
   RegistryReset reset;
   metadse::set_threads(1);
@@ -492,41 +527,41 @@ TEST(PlanEquivalence, ContendedPredictsFallBackEagerWithIdenticalBits) {
   }
   (void)model.predict_batch(rows);  // warm-up: compile the plan
 
-  // Hammer one model from many threads. The plan arena is single-occupancy
-  // behind a try-lock: a contended caller must take the eager path instead
-  // of waiting, so every thread's every result is bitwise identical either
-  // way. Rounds repeat until contention is actually observed.
+  // Hammer one model from many threads. Each concurrent caller takes its
+  // own bound executor of the shared program, so no predict falls back to
+  // eager and every result is the planned (bitwise-eager) one.
   const auto base = plan::PlanRegistry::instance().stats();
-  std::atomic<bool> mismatch{false};
-  for (int round = 0; round < 50; ++round) {
-    constexpr size_t kThreads = 8;
-    std::atomic<size_t> start_gate{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (size_t tid = 0; tid < kThreads; ++tid) {
-      threads.emplace_back([&] {
-        start_gate.fetch_add(1);
-        while (start_gate.load() < kThreads) {}
-        for (int iter = 0; iter < 20; ++iter) {
-          const auto got = model.predict_batch(rows);
-          for (size_t i = 0; i < got.size(); ++i) {
-            for (size_t j = 0; j < got[i].size(); ++j) {
-              if (got[i][j] != eager[i][j]) mismatch.store(true);
-            }
-          }
-        }
-      });
-    }
-    for (auto& th : threads) th.join();
-    if (plan::PlanRegistry::instance().stats().fallbacks > base.fallbacks) {
-      break;
-    }
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_FALSE(hammer_differs(model, rows, eager, 20))
+        << "a concurrent planned predict diverged from eager bits (round "
+        << round << ")";
   }
-  EXPECT_FALSE(mismatch.load())
-      << "a contended (or planned) predict diverged from eager bits";
   const auto after = plan::PlanRegistry::instance().stats();
-  EXPECT_GT(after.fallbacks, base.fallbacks)
-      << "no predict ever lost the try-lock race across 50 contended rounds";
+  EXPECT_EQ(after.fallbacks, base.fallbacks)
+      << "a concurrent predict on one model fell back to eager";
   EXPECT_GT(after.cache_hits, base.cache_hits)
-      << "winners must keep serving from the compiled plan";
+      << "concurrent predicts must be served from the compiled plan";
+}
+
+TEST(PlanEquivalence, ConcurrentFirstPredictsOnFreshModelMatchEager) {
+  ThreadGuard guard;
+  RegistryReset reset;
+  metadse::set_threads(1);
+  const auto rows = feature_rows(8, 24, 109);
+  // Every round starts from an empty registry and a model that has never
+  // planned, so the hammer's first calls race on the model's planner and on
+  // the compile of its first program.
+  for (int round = 0; round < 5; ++round) {
+    plan::PlanRegistry::instance().reset();
+    t::Rng rng(113);
+    nn::TransformerRegressor model(small_cfg(), rng);
+    std::vector<std::vector<float>> eager;
+    {
+      plan::PlanModeGuard off(false);
+      eager = model.predict_batch(rows);
+    }
+    EXPECT_FALSE(hammer_differs(model, rows, eager, 1))
+        << "a first predict on a fresh shared model diverged from eager "
+           "bits (round " << round << ")";
+  }
 }

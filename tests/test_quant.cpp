@@ -697,6 +697,10 @@ std::string run_quant_sessions(core::MetaDseFramework& fw,
   engine.add_workload(support.workload, support);
   auto executor = engine.executor();
 
+  // Every session predicts on the workload's one adapted model; concurrent
+  // use must never push a forward off the plan.
+  auto& plans = nn::plan::PlanRegistry::instance();
+  const uint64_t fallbacks_before = plans.stats().fallbacks;
   std::atomic<size_t> next{0};
   std::atomic<size_t> failures{0};
   std::atomic<size_t> served_quantized{0};
@@ -728,6 +732,9 @@ std::string run_quant_sessions(core::MetaDseFramework& fw,
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0U);
+  EXPECT_EQ(plans.stats().fallbacks, fallbacks_before)
+      << "a session on the shared model fell back to eager (threads="
+      << session_threads << ")";
   if (quantized != nullptr) *quantized = served_quantized.load();
 
   std::string bytes;

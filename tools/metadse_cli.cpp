@@ -454,10 +454,11 @@ int cmd_adapt(const Args& args) {
   return 0;
 }
 
-/// Long-lived multi-session serving: N replicated predictors behind a
-/// bounded admission queue. Each session is one journaled DSE run over a
-/// test-split workload; finished sessions publish their front atomically to
-/// "<journal-dir>/front_<id>.txt". A SIGTERM/SIGINT (or a kill -9, via the
+/// Long-lived multi-session serving: N replica slots sharing one adapted
+/// predictor per workload, behind a bounded admission queue. Each session
+/// is one journaled DSE run over a test-split workload; finished sessions
+/// publish their front atomically to "<journal-dir>/front_<id>.txt". A
+/// SIGTERM/SIGINT (or a kill -9, via the
 /// per-session journals) mid-traffic is recoverable: rerun with --resume to
 /// finish the missing sessions bitwise-identically.
 int cmd_serve(const Args& args) {
@@ -718,7 +719,7 @@ int cmd_serve(const Args& args) {
   }
 
   // Support sets are simulated once per workload (clean generator, fixed
-  // order) and each workload is adapted once per replica.
+  // order) and each workload is adapted once.
   serve::MetaDseSessionEngine engine(fw, sopts.replicas, eopts);
   const uint64_t seed = static_cast<uint64_t>(args.num("seed", 2025));
   tensor::Rng rng(seed);
@@ -753,13 +754,6 @@ int cmd_serve(const Args& args) {
   if (engine.coalescing()) {
     server.set_coalesce_stats([&engine] { return engine.coalesce_stats(); });
   }
-  server.set_plan_stats([&engine] { return engine.plan_stats(); });
-  // Self-healing: a condemned replica is rebuilt warm (one adapt_to per
-  // workload off the shared pretrained model) before rejoining dispatch.
-  server.set_replica_rebuilder([&engine](size_t replica) {
-    engine.rebuild_replica(replica);
-    return true;
-  });
 
   // Open-loop (or --arrival-ms-paced) submission: session i targets
   // workload i mod names.size() with seed base+i — the same request stream
@@ -838,10 +832,13 @@ int cmd_serve(const Args& args) {
                 stats.replicas_condemned, stats.replicas_rebuilt,
                 stats.replicas_quarantined, stats.replicas_pending_rebuild);
   }
-  std::printf("plans: %zu compiled, %zu cache hits, %zu fallbacks, "
-              "%zu static bytes\n",
-              stats.plans_compiled, stats.plan_cache_hits,
-              stats.plan_fallbacks, stats.plan_static_bytes);
+  const nn::plan::PlanStats plans = nn::plan::PlanRegistry::instance().stats();
+  std::printf("plans: %llu compiled, %llu cache hits, %llu fallbacks, "
+              "%llu static bytes\n",
+              static_cast<unsigned long long>(plans.plans_compiled),
+              static_cast<unsigned long long>(plans.cache_hits),
+              static_cast<unsigned long long>(plans.fallbacks),
+              static_cast<unsigned long long>(plans.static_bytes));
   if (precision != tensor::quant::Precision::kFp32) {
     std::printf("quant: tier %s, %zu sessions served quantized, "
                 "%zu contract fallbacks to fp32\n",
