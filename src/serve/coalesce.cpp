@@ -70,6 +70,47 @@ BatchCoalescer::~BatchCoalescer() {
   { std::lock_guard<std::mutex> ex(exec_m_); }
 }
 
+BatchCoalescer::Participation BatchCoalescer::join(uint64_t session_id) {
+  std::unique_lock<std::mutex> lk(m_);
+  if (!joined_.insert(session_id).second) {
+    throw std::logic_error("BatchCoalescer: session " +
+                           std::to_string(session_id) + " joined twice");
+  }
+  // Only a session with a request already assembling can complete the
+  // occupancy here; the engine joins before its first submit.
+  flush_if_full_locked(lk);
+  return Participation(this, session_id);
+}
+
+void BatchCoalescer::leave(uint64_t session_id) {
+  std::unique_lock<std::mutex> lk(m_);
+  joined_.erase(session_id);
+  const auto mine = [session_id](const auto& req) {
+    return req->session_id == session_id;
+  };
+  if (std::none_of(assembling_.begin(), assembling_.end(), mine) &&
+      std::none_of(in_flight_.begin(), in_flight_.end(), mine)) {
+    next_seq_.erase(session_id);
+  }
+  // The departing session may have been the only one not waiting: this
+  // thread then flushes for the others.
+  flush_if_full_locked(lk);
+}
+
+void BatchCoalescer::flush_if_full_locked(std::unique_lock<std::mutex>& lk) {
+  if (assembling_.empty()) return;
+  const bool all_joined_waiting =
+      !joined_.empty() &&
+      std::all_of(joined_.begin(), joined_.end(), [this](uint64_t id) {
+        return std::any_of(
+            assembling_.begin(), assembling_.end(),
+            [id](const auto& req) { return req->session_id == id; });
+      });
+  if (all_joined_waiting || assembled_points_ >= options_.max_batch) {
+    flush_locked(lk, FlushCause::kFull);
+  }
+}
+
 BatchCoalescer::Ticket BatchCoalescer::submit(uint64_t session_id,
                                               Rows rows) {
   auto req = std::make_shared<CoalesceRequest>();
@@ -90,9 +131,7 @@ BatchCoalescer::Ticket BatchCoalescer::submit(uint64_t session_id,
     if (assembling_.empty()) open_tick_ = tick_now_;
     assembling_.push_back(req);
     assembled_points_ += req->rows.size();
-    if (assembled_points_ >= options_.max_batch) {
-      flush_locked(lk, FlushCause::kFull);
-    }
+    flush_if_full_locked(lk);
   }
   Ticket t;
   t.req_ = std::move(req);

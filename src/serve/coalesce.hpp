@@ -8,15 +8,22 @@
 // session's values: coalesced fronts are bitwise-identical to uncoalesced
 // ones (pinned by the CoalesceEquivalence suite).
 //
-// Flush policy (deterministic given the submit/tick sequence):
+// Flush policy (deterministic given the submit/join/leave/tick sequence):
 //   1. max-batch  — a submit that brings the assembling batch to >= max_batch
 //      points flushes immediately; the submitting thread is the leader and
 //      executes the fused call inline.
-//   2. wait-ticks — tick() advances logical time; a batch whose oldest
+//   2. occupancy  — sessions that route every prediction through the
+//      coalescer join() it for the length of their run. Once every joined
+//      session has a request assembling, no co-rider can still arrive, so
+//      the submit (or join/leave) that made it so flushes inline. A lone
+//      joined session therefore never waits: its submit is its flush.
+//   3. wait-ticks — tick() advances logical time; a batch whose oldest
 //      request has aged wait_ticks ticks is flushed by the ticking thread.
-//      With tick_ms > 0 an internal ticker thread calls tick() periodically;
-//      tick_ms == 0 leaves ticking to the caller (tests).
-//   3. barrier    — flush() force-flushes whatever is assembled.
+//      This bounds the wait behind a joined session that is busy between
+//      predictions (or wedged) and is the only timed trigger for sessions
+//      that never joined. With tick_ms > 0 an internal ticker thread calls
+//      tick() periodically; tick_ms == 0 leaves ticking to the caller (tests).
+//   4. barrier    — flush() force-flushes whatever is assembled.
 // At flush, requests are ordered by (session_id, seq) — seq is a per-session
 // counter assigned at submit — so assembly order is reproducible no matter
 // which thread won the race to submit first.
@@ -34,9 +41,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace metadse::serve {
@@ -65,7 +74,9 @@ struct CoalesceStats {
   size_t failed_points = 0;       ///< points in batches whose executor threw
   size_t failed_batches = 0;      ///< fused calls whose executor threw
   size_t max_batch_points = 0;    ///< largest successful fused batch
-  size_t flush_full = 0;          ///< flushes triggered by max_batch
+  /// Flushes of a batch that could not grow: max_batch reached, or every
+  /// joined session waiting (occupancy).
+  size_t flush_full = 0;
   size_t flush_tick = 0;          ///< flushes triggered by wait_ticks aging
   size_t flush_barrier = 0;       ///< flushes triggered by flush()
 
@@ -116,9 +127,39 @@ class BatchCoalescer {
     std::shared_ptr<struct CoalesceRequest> req_;
   };
 
+  /// Membership of one session in the occupancy trigger; its destructor
+  /// leaves. Movable so it can live in an optional, never copyable.
+  class Participation {
+   public:
+    Participation(Participation&& other) noexcept
+        : coal_(std::exchange(other.coal_, nullptr)),
+          session_id_(other.session_id_) {}
+    Participation(const Participation&) = delete;
+    Participation& operator=(const Participation&) = delete;
+    Participation& operator=(Participation&&) = delete;
+    ~Participation() {
+      if (coal_ != nullptr) coal_->leave(session_id_);
+    }
+
+   private:
+    friend class BatchCoalescer;
+    Participation(BatchCoalescer* coal, uint64_t session_id)
+        : coal_(coal), session_id_(session_id) {}
+    BatchCoalescer* coal_;
+    uint64_t session_id_;
+  };
+
+  /// Counts @p session_id toward the occupancy trigger until the returned
+  /// handle is destroyed. Join only a session whose every prediction goes
+  /// through this coalescer: a joined session that stops submitting holds
+  /// its co-riders back until wait_ticks releases them. Throws
+  /// std::logic_error if @p session_id is already joined.
+  [[nodiscard]] Participation join(uint64_t session_id);
+
   /// Enqueues @p rows for session @p session_id (non-blocking apart from an
-  /// inline fused execution when this submit fills the batch). Empty rows
-  /// resolve immediately with an empty result.
+  /// inline fused execution when this submit fills the batch or completes
+  /// the joined sessions' occupancy). Empty rows resolve immediately with
+  /// an empty result.
   Ticket submit(uint64_t session_id, Rows rows);
 
   /// Blocks until the ticket's request resolves. Returns one float per
@@ -150,6 +191,14 @@ class BatchCoalescer {
  private:
   enum class FlushCause { kFull, kTick, kBarrier };
 
+  /// Called by ~Participation. Removes @p session_id from the joined set,
+  /// forgets its seq counter when none of its requests is assembling or in
+  /// flight, and flushes for the remaining joined sessions when they are
+  /// all waiting.
+  void leave(uint64_t session_id);
+  /// Precondition: @p lk holds m_. Flushes as kFull when the batch cannot
+  /// grow: max_batch reached, or every joined session waiting.
+  void flush_if_full_locked(std::unique_lock<std::mutex>& lk);
   /// Precondition: @p lk holds m_. Executes the assembled batch (releasing
   /// m_ around the fused call, serialized by exec_m_) and scatters results.
   void flush_locked(std::unique_lock<std::mutex>& lk, FlushCause cause);
@@ -171,6 +220,7 @@ class BatchCoalescer {
   uint64_t tick_now_ = 0;   ///< logical clock
   uint64_t open_tick_ = 0;  ///< tick when the oldest assembling request landed
   std::map<uint64_t, uint64_t> next_seq_;  ///< per-session submit counters
+  std::set<uint64_t> joined_;  ///< sessions counted by the occupancy trigger
   bool stopping_ = false;
   CoalesceStats stats_;
 

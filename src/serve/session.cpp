@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -121,6 +122,7 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
   // equality contract with predict_batch is what makes cross-session
   // batching safe); a reduced-precision session therefore serves its own
   // forwards instead of riding fused batches.
+  std::optional<BatchCoalescer::Participation> joined;
   if (it->second.coalescer &&
       dse.precision == tensor::quant::Precision::kFp32) {
     // Route the surrogate-IPC leg through the cross-session coalescer. The
@@ -130,6 +132,11 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
     // deadline) wakes the wait, drops the rows from the assembling batch
     // and aborts the run — survivors' batches are unperturbed.
     BatchCoalescer* coal = it->second.coalescer.get();
+    // Every prediction of this run goes through the coalescer, so it may
+    // count this session toward its occupancy trigger: once all joined
+    // sessions wait, the batch flushes without waiting for the tick. The
+    // handle leaves when run_dse ends, on every exit path.
+    joined.emplace(coal->join(request.id));
     std::function<bool()> wake;
     if (ctx.budget) {
       wake = [budget = ctx.budget] {
@@ -153,6 +160,7 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
   const explore::ParetoArchive archive =
       framework_.run_dse(it->second.predictor, *it->second.support,
                          request.workload, dse, generator_, report);
+  joined.reset();  // publication below submits nothing: stop counting
 
   ExecResult out;
   out.degraded = report.degraded() || report.cancelled > 0;

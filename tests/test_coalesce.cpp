@@ -1,5 +1,6 @@
 // Cross-session batch coalescing: flush-policy edge cases (max-batch hit
-// exactly, wait-tick flush with a straggler, session barrier, empty flush),
+// exactly, wait-tick flush with a straggler, session barrier, empty flush,
+// the occupancy trigger over joined sessions),
 // cancellation semantics (mid-assembly drop leaves survivors' values
 // bitwise-untouched; in-flight cancel discards the result), the stats
 // invariant submitted == coalesced + cancelled + failed, a randomized
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -19,7 +21,9 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <random>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -216,6 +220,92 @@ TEST(CoalesceFlush, AssemblyIsOrderedBySessionThenSeq) {
   expect_bitwise(coal.wait(s1), values_of(make_rows(100, 1)));
 }
 
+// -- occupancy ----------------------------------------------------------------
+
+TEST(CoalesceFlush, OccupancyFlushesOnceEveryJoinedSessionWaits) {
+  RecordingExec exec;
+  serve::BatchCoalescer coal(manual(/*max_batch=*/100), exec.fn());
+  const auto j1 = coal.join(1);
+  const auto j2 = coal.join(2);
+  auto a = coal.submit(1, make_rows(10, 2));
+  EXPECT_TRUE(exec.batches.empty()) << "session 2 may still bring rows";
+  auto b = coal.submit(2, make_rows(20, 1));
+  ASSERT_EQ(exec.batches.size(), 1U)
+      << "every joined session waits: the batch cannot grow, flush inline";
+  EXPECT_EQ(exec.batches[0].size(), 3U);
+  expect_bitwise(coal.wait(a), values_of(make_rows(10, 2)));
+  expect_bitwise(coal.wait(b), values_of(make_rows(20, 1)));
+  const auto s = coal.stats();
+  EXPECT_EQ(s.flush_full, 1U);
+  EXPECT_EQ(s.flush_tick + s.flush_barrier, 0U);
+  expect_coalesce_invariant(s);
+  EXPECT_THROW((void)coal.join(1), std::logic_error);
+}
+
+TEST(CoalesceFlush, JoinedSessionThatNeverSubmitsIsBoundedByWaitTicks) {
+  RecordingExec exec;
+  serve::BatchCoalescer coal(manual(/*max_batch=*/100, /*wait_ticks=*/2),
+                             exec.fn());
+  const auto waiting = coal.join(1);
+  const auto busy = coal.join(2);  // e.g. fitting its forest; never submits
+  auto a = coal.submit(1, make_rows(10, 2));
+  coal.tick();
+  EXPECT_TRUE(exec.batches.empty());
+  coal.tick();
+  ASSERT_EQ(exec.batches.size(), 1U) << "wait_ticks still bounds the wait";
+  expect_bitwise(coal.wait(a), values_of(make_rows(10, 2)));
+  const auto s = coal.stats();
+  EXPECT_EQ(s.flush_tick, 1U);
+  EXPECT_EQ(s.flush_full, 0U);
+  expect_coalesce_invariant(s);
+}
+
+TEST(CoalesceFlush, LeaveOfTheOnlyNonWaitingSessionFlushesTheWaiters) {
+  RecordingExec exec;
+  serve::BatchCoalescer coal(manual(/*max_batch=*/100), exec.fn());
+  const auto j1 = coal.join(1);
+  const auto j2 = coal.join(2);
+  serve::BatchCoalescer::Ticket a;
+  serve::BatchCoalescer::Ticket b;
+  {
+    const auto departing = coal.join(3);
+    a = coal.submit(1, make_rows(10, 1));
+    b = coal.submit(2, make_rows(20, 2));
+    EXPECT_TRUE(exec.batches.empty()) << "session 3 has not submitted";
+  }  // session 3 ends without submitting: the leaving thread flushes
+  ASSERT_EQ(exec.batches.size(), 1U);
+  EXPECT_EQ(exec.batches[0].size(), 3U);
+  expect_bitwise(coal.wait(a), values_of(make_rows(10, 1)));
+  expect_bitwise(coal.wait(b), values_of(make_rows(20, 2)));
+  const auto s = coal.stats();
+  EXPECT_EQ(s.flush_full, 1U);
+  EXPECT_EQ(s.flush_tick + s.flush_barrier, 0U);
+  expect_coalesce_invariant(s);
+}
+
+TEST(CoalesceFlush, UnjoinedSubmitterDoesNotCountTowardOccupancy) {
+  RecordingExec exec;
+  serve::BatchCoalescer coal(manual(/*max_batch=*/100), exec.fn());
+  const auto j1 = coal.join(1);
+  const auto j2 = coal.join(2);
+  auto outsider = coal.submit(3, make_rows(30, 1));
+  auto a = coal.submit(1, make_rows(10, 1));
+  EXPECT_TRUE(exec.batches.empty())
+      << "session 3 never joined; it cannot stand in for session 2";
+  auto b = coal.submit(2, make_rows(20, 1));
+  ASSERT_EQ(exec.batches.size(), 1U);
+  // The outsider rides along in (session, seq) order.
+  Rows want;
+  for (uint64_t tag : {10, 20, 30}) {
+    want.push_back({static_cast<float>(tag), 0.0F});
+  }
+  EXPECT_EQ(exec.batches[0], want);
+  expect_bitwise(coal.wait(outsider), values_of(make_rows(30, 1)));
+  expect_bitwise(coal.wait(a), values_of(make_rows(10, 1)));
+  expect_bitwise(coal.wait(b), values_of(make_rows(20, 1)));
+  EXPECT_EQ(coal.stats().flush_full, 1U);
+}
+
 // -- cancellation -------------------------------------------------------------
 
 TEST(CoalesceCancel, MidAssemblyDropLeavesSurvivorsBitwiseUntouched) {
@@ -369,8 +459,9 @@ TEST(CoalesceAccounting, StatsPartitionEveryPointOnceDrained) {
 
 namespace {
 
-/// Single-threaded mirror of the flush policy: same triggers, same
-/// (session_id, seq) batch ordering, tracked symbolically.
+/// Single-threaded mirror of the flush policy: same triggers (occupancy
+/// over the joined sessions included), same (session_id, seq) batch
+/// ordering and seq-counter lifetime, tracked symbolically.
 struct ModelRequest {
   uint64_t session = 0;
   uint64_t seq = 0;
@@ -388,6 +479,38 @@ struct ReferenceModel {
   size_t assembled_points = 0;
   std::vector<std::vector<size_t>> batches;  ///< executed, in flush order
   std::map<uint64_t, uint64_t> next_seq;
+  std::set<uint64_t> joined;
+  size_t full_flushes = 0;
+
+  bool waiting(uint64_t session) const {
+    return std::any_of(assembling.begin(), assembling.end(),
+                       [&](size_t idx) {
+                         return requests[idx].session == session;
+                       });
+  }
+
+  void flush_if_full() {
+    if (assembling.empty()) return;
+    const bool all_waiting =
+        !joined.empty() &&
+        std::all_of(joined.begin(), joined.end(),
+                    [&](uint64_t s) { return waiting(s); });
+    if (all_waiting || assembled_points >= max_batch) {
+      flush();
+      ++full_flushes;
+    }
+  }
+
+  void join(uint64_t session) {
+    joined.insert(session);
+    flush_if_full();
+  }
+
+  void leave(uint64_t session) {
+    joined.erase(session);
+    if (!waiting(session)) next_seq.erase(session);
+    flush_if_full();
+  }
 
   size_t submit(uint64_t session, size_t n_rows) {
     ModelRequest r;
@@ -403,7 +526,7 @@ struct ReferenceModel {
     if (assembling.empty()) open_tick = tick;
     assembling.push_back(idx);
     assembled_points += n_rows;
-    if (assembled_points >= max_batch) flush();
+    flush_if_full();
     return idx;
   }
 
@@ -461,10 +584,13 @@ TEST(CoalesceFuzz, RandomSchedulesMatchTheReferenceModelExactly) {
     model.wait_ticks = wait_ticks;
     std::vector<serve::BatchCoalescer::Ticket> tickets;
     std::vector<Rows> submitted_rows;
+    // Declared after coal: every membership leaves before coal is destroyed.
+    std::array<std::optional<serve::BatchCoalescer::Participation>, 4>
+        members;
 
     const size_t ops = 20 + static_cast<size_t>(rng() % 30);
     for (size_t op = 0; op < ops; ++op) {
-      const uint64_t kind = rng() % 10;
+      const uint64_t kind = rng() % 12;
       if (kind < 6) {  // submit
         const uint64_t session = rng() % 4;
         const size_t n_rows = rng() % 4;  // 0 exercises the immediate path
@@ -479,10 +605,19 @@ TEST(CoalesceFuzz, RandomSchedulesMatchTheReferenceModelExactly) {
       } else if (kind == 8) {
         coal.flush();
         model.flush();
-      } else {
+      } else if (kind == 9) {
         const uint64_t session = rng() % 4;
         coal.cancel_session(session);
         model.cancel_session(session);
+      } else {  // toggle membership: join, or leave through the handle
+        const uint64_t session = rng() % 4;
+        if (members[session]) {
+          members[session].reset();
+          model.leave(session);
+        } else {
+          members[session].emplace(coal.join(session));
+          model.join(session);
+        }
       }
     }
     coal.flush();
@@ -499,6 +634,9 @@ TEST(CoalesceFuzz, RandomSchedulesMatchTheReferenceModelExactly) {
       ASSERT_EQ(exec.batches[b], want)
           << "schedule " << schedule << " batch " << b;
     }
+
+    EXPECT_EQ(coal.stats().flush_full, model.full_flushes)
+        << "schedule " << schedule;
 
     // Same terminal state and bit-exact scatter-back per request.
     for (size_t i = 0; i < tickets.size(); ++i) {
@@ -661,6 +799,12 @@ std::string run_engine_sessions(core::MetaDseFramework& fw,
     const auto s = engine.coalesce_stats();
     EXPECT_GT(s.coalesced_batches, 0U);
     expect_coalesce_invariant(s);
+    if (session_threads == 1) {
+      // A lone joined session completes the occupancy with every submit,
+      // which flushes under the same lock: the ticker never sees a batch.
+      EXPECT_EQ(s.flush_tick, 0U);
+      EXPECT_EQ(s.flush_full, s.coalesced_batches);
+    }
   }
 
   std::string bytes;

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "data/dataset.hpp"
 #include "explore/explorer.hpp"
@@ -490,30 +492,51 @@ TEST(JournaledExplore, SnapshotCorruptionFuzzFallsBackToFullReplay) {
   const std::string journal_bytes = slurp(path);
   const std::string good = slurp(path + ".snapshot");
   ASSERT_FALSE(good.empty());
+  remove_run_files(path);
 
-  auto resume_expect_full_replay = [&](const std::string& label) {
-    ex::RunReport rep;
-    const auto resumed = evo.explore(space, oracle(), jopts, &rep);
-    expect_bitwise_equal(reference, resumed);
-    EXPECT_FALSE(rep.snapshot_restored) << label;
-    EXPECT_EQ(rep.replayed, evo.budget()) << label;
+  struct Probe {
+    std::string label;
+    std::string snapshot;
   };
-
+  std::vector<Probe> probes;
   for (size_t pos = 0; pos < good.size(); ++pos) {
-    // The resume itself rewrites both files; restore the originals so each
-    // probe corrupts the same reference snapshot.
-    spit(path, journal_bytes);
     std::string bad = good;
     bad[pos] = static_cast<char>(bad[pos] ^ 0x80);
-    spit(path + ".snapshot", bad);
-    resume_expect_full_replay("flipped byte " + std::to_string(pos));
+    probes.push_back({"flipped byte " + std::to_string(pos), std::move(bad)});
   }
   for (size_t len = 0; len < good.size(); len += 7) {
-    spit(path, journal_bytes);
-    spit(path + ".snapshot", good.substr(0, len));
-    resume_expect_full_replay("truncated to " + std::to_string(len));
+    probes.push_back(
+        {"truncated to " + std::to_string(len), good.substr(0, len)});
   }
-  remove_run_files(path);
+
+  // Each probe waits mostly on the resume's fsyncs, so independent lanes
+  // overlap them. A lane owns its journal path and explorer and takes every
+  // kLanes-th probe; every probe restores the same reference journal first,
+  // because the resume itself rewrites both files.
+  constexpr size_t kLanes = 8;
+  std::vector<std::thread> lanes;
+  for (size_t lane = 0; lane < kLanes; ++lane) {
+    lanes.emplace_back([&, lane] {
+      ex::EvolutionaryExplorer lane_evo(small_options(/*eval_batch=*/4));
+      const auto lane_path = temp_path(
+          ("mdse_journal_snapfuzz_" + std::to_string(lane) + ".journal")
+              .c_str());
+      const ex::JournalOptions lane_jopts{.path = lane_path,
+                                          .snapshot_period = 2};
+      for (size_t i = lane; i < probes.size(); i += kLanes) {
+        spit(lane_path, journal_bytes);
+        spit(lane_path + ".snapshot", probes[i].snapshot);
+        ex::RunReport rep;
+        const auto resumed =
+            lane_evo.explore(space, oracle(), lane_jopts, &rep);
+        expect_bitwise_equal(reference, resumed);
+        EXPECT_FALSE(rep.snapshot_restored) << probes[i].label;
+        EXPECT_EQ(rep.replayed, lane_evo.budget()) << probes[i].label;
+      }
+      remove_run_files(lane_path);
+    });
+  }
+  for (auto& t : lanes) t.join();
 }
 
 TEST(JournaledExplore, CooperativeStopFlushesSnapshotAndResumes) {

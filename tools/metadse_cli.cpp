@@ -847,9 +847,11 @@ int cmd_serve(const Args& args) {
   }
   if (engine.coalescing()) {
     const serve::CoalesceStats cs = engine.coalesce_stats();
-    std::printf("coalesce: %zu fused batches, %zu points (mean %.1f "
-                "points/batch, max %zu), %zu cancelled\n",
-                cs.coalesced_batches, cs.coalesced_points,
+    std::printf("coalesce: %zu fused batches (%zu full, %zu tick, %zu "
+                "barrier), %zu points (mean %.1f points/batch, max %zu), "
+                "%zu cancelled\n",
+                cs.coalesced_batches, cs.flush_full, cs.flush_tick,
+                cs.flush_barrier, cs.coalesced_points,
                 cs.mean_batch_points(), cs.max_batch_points,
                 cs.cancelled_points);
   }
