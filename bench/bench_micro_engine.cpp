@@ -5,6 +5,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
+
+#include <unistd.h>
 
 #include "arch/design_space.hpp"
 #include "baselines/ensembles.hpp"
@@ -135,14 +138,13 @@ BENCHMARK(BM_TransformerPredictBatchNoGrad)->Arg(1)->Arg(16)->Arg(128);
 
 // -- reduced-precision predict tier ------------------------------------------
 //
-// The same no-grad batched forward served from the bf16 / int8 plan variants
+// The same no-grad batched forward served from the int8 plan variant
 // (DESIGN.md §15). Calibration is captured once before timing, exactly as
 // adapt_to does in production; the timed region is the steady-state quantized
 // predict_batch. Names contain "PredictBatch" so the CI benchmark-smoke
 // filter picks these up alongside the fp32 arms they are compared against.
 
-void quant_predict_bench(benchmark::State& state,
-                         tensor::quant::Precision prec) {
+void BM_TransformerPredictBatchQuantInt8(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   tensor::Rng rng(12);
   nn::TransformerRegressor model(predict_cfg(), rng);
@@ -157,22 +159,14 @@ void quant_predict_bench(benchmark::State& state,
     state.SkipWithError("calibration capture failed (plan not compilable)");
     return;
   }
-  tensor::quant::PrecisionModeGuard guard(prec);
+  tensor::quant::PrecisionModeGuard guard(tensor::quant::Precision::kInt8);
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.predict_batch(rows).front().front());
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
 
-void BM_TransformerPredictBatchQuantInt8(benchmark::State& state) {
-  quant_predict_bench(state, tensor::quant::Precision::kInt8);
-}
 BENCHMARK(BM_TransformerPredictBatchQuantInt8)->Arg(1)->Arg(16)->Arg(128);
-
-void BM_TransformerPredictBatchQuantBf16(benchmark::State& state) {
-  quant_predict_bench(state, tensor::quant::Precision::kBf16);
-}
-BENCHMARK(BM_TransformerPredictBatchQuantBf16)->Arg(1)->Arg(16)->Arg(128);
 
 void BM_ExplorerBatchedEval(benchmark::State& state) {
   const size_t eval_batch = static_cast<size_t>(state.range(0));
@@ -377,4 +371,21 @@ BENCHMARK(BM_MamlEpochThreadsSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// google-benchmark's own context describes the benchmark library's build, not
+// this project's; record the project build and host next to it so a report
+// says where its numbers came from (tools/bench_report.py copies these).
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("metadse_build_type", BENCH_BUILD_TYPE);
+  benchmark::AddCustomContext("metadse_compiler", BENCH_COMPILER);
+  benchmark::AddCustomContext("metadse_march_native",
+                              BENCH_MARCH_NATIVE != 0 ? "true" : "false");
+  benchmark::AddCustomContext("metadse_threads",
+                              std::to_string(metadse::threads()));
+  benchmark::AddCustomContext(
+      "metadse_nproc", std::to_string(sysconf(_SC_NPROCESSORS_ONLN)));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -124,7 +124,6 @@ std::string predict_plan_key(const TransformerRegressor& model, size_t batch,
   for (size_t i = 0; i < model.layer_count(); ++i) {
     k += model.attention_layer(i).has_mask() ? '1' : '0';
   }
-  if (prec == quant::Precision::kBf16) k += ":qb";
   if (prec == quant::Precision::kInt8) k += ":q8";
   return k;
 }
@@ -419,13 +418,13 @@ struct RStep {
   t::Node* c = nullptr;
   float* stash0 = nullptr;
   float* stash1 = nullptr;
-  size_t n = 0, L = 0, rows = 0, R = 0;
+  size_t n = 0, L = 0, rows = 0;
   size_t M = 0, K = 0, N = 0;
   std::vector<size_t> aoff, boff;      // gemm batch bases
   size_t outer = 0, ax = 0, inner = 0;  // reduce_axis
-  uint8_t bmode = 0;  // binary: 0 same / 1 b-suffix / 2 a-suffix / 3 general
-  std::vector<size_t> sa, sb;  // binary mode 3: broadcast strides
-  t::Shape oshape;             // binary mode 3 out / permute outer extents
+  uint8_t bmode = 0;  // binary: 0 same / 1 b-suffix / 2 general
+  std::vector<size_t> sa, sb;  // binary mode 2: broadcast strides
+  t::Shape oshape;             // binary mode 2 out / permute outer extents
   std::vector<size_t> pstr;    // permute: src stride per outer out dim
   size_t prun = 1;             // permute: contiguous run length
 };
@@ -463,12 +462,8 @@ bool lower_rec(const tp::TraceRec& r, RStep& s) {
         s.bmode = 1;
         s.n = s.a->value.size();
         s.L = s.b->value.size();
-      } else if (!s.a->value.empty() && is_trailing_suffix(as, bs)) {
-        s.bmode = 2;
-        s.n = s.b->value.size();
-        s.L = s.a->value.size();
       } else {
-        s.bmode = 3;
+        s.bmode = 2;
         s.oshape = t::broadcast_shape(as, bs);
         if (s.oshape.size() > 8) return false;  // odometer register bound
         s.sa = t::broadcast_strides(as, s.oshape);
@@ -501,16 +496,7 @@ bool lower_rec(const tp::TraceRec& r, RStep& s) {
       s.rows = s.a->value.size() / s.L;
       return true;
     case tp::OpKind::kSoftmaxMasked:
-      if (s.stash0 == nullptr || s.stash1 == nullptr) return false;
-      s.L = s.a->shape.back();
-      s.R = s.a->shape[s.a->shape.size() - 2];
-      s.rows = s.a->value.size() / s.L;
-      return true;
-    case tp::OpKind::kLayerNorm:
-      if (s.stash0 == nullptr) return false;
-      s.L = s.a->shape.back();
-      s.rows = s.a->value.size() / s.L;
-      return true;
+      return false;  // no training tape records it; the step runs eager
     case tp::OpKind::kLayerNormAffine:
       if (s.stash0 == nullptr || s.stash1 == nullptr) return false;
       s.L = s.a->shape.back();
@@ -582,18 +568,6 @@ void binary_apply(const RStep& s, F fwd) {
         }
       }
       break;
-    case 2:
-      if (s.L == 1) {
-        const float av = pa[0];
-        for (size_t i = 0; i < s.n; ++i) po[i] = fwd(av, pb[i]);
-      } else {
-        for (size_t i0 = 0; i0 < s.n; i0 += s.L) {
-          for (size_t j = 0; j < s.L; ++j) {
-            po[i0 + j] = fwd(pa[j], pb[i0 + j]);
-          }
-        }
-      }
-      break;
     default: {
       const size_t rank = s.oshape.size();
       size_t idx[8] = {};
@@ -635,36 +609,9 @@ void replay_binary(const RStep& s) {
 void replay_unary(const RStep& s) {
   const float* pa = s.a->value.data();
   float* po = s.out->value.data();
-  auto apply = [&](auto fn) {
-    for (size_t i = 0; i < s.n; ++i) po[i] = fn(pa[i]);
-  };
   switch (static_cast<tp::UnFn>(s.fn)) {
-    case tp::UnFn::kNeg:
-      apply([](float x) { return -x; });
-      break;
-    case tp::UnFn::kRelu:
-      apply([](float x) { return x > 0.0F ? x : 0.0F; });
-      break;
-    case tp::UnFn::kGelu:
-      apply([](float x) { return kern::gelu_fwd(x); });
-      break;
-    case tp::UnFn::kTanh:
-      apply([](float x) { return std::tanh(x); });
-      break;
-    case tp::UnFn::kSigmoid:
-      apply([](float x) { return 1.0F / (1.0F + std::exp(-x)); });
-      break;
-    case tp::UnFn::kExp:
-      apply([](float x) { return std::exp(x); });
-      break;
-    case tp::UnFn::kLog:
-      apply([](float x) { return std::log(x); });
-      break;
     case tp::UnFn::kSquare:
-      apply([](float x) { return x * x; });
-      break;
-    case tp::UnFn::kAbs:
-      apply([](float x) { return std::fabs(x); });
+      for (size_t i = 0; i < s.n; ++i) po[i] = pa[i] * pa[i];
       break;
   }
 }
@@ -739,11 +686,7 @@ void replay_permute(const RStep& s) {
   size_t idx[8] = {};
   size_t off = 0;
   for (size_t o = 0; o < s.n; o += s.prun) {
-    if (s.prun == 1) {
-      dst[o] = src[off];
-    } else {
-      std::copy(src + off, src + off + s.prun, dst + o);
-    }
+    std::copy(src + off, src + off + s.prun, dst + o);
     for (size_t d = rank; d-- > 0;) {
       ++idx[d];
       off += s.pstr[d];
@@ -757,6 +700,7 @@ void replay_permute(const RStep& s) {
 void replay_step(const RStep& s) {
   switch (s.kind) {
     case tp::OpKind::kConst:
+    case tp::OpKind::kSoftmaxMasked:  // never lowered (lower_rec)
       break;
     case tp::OpKind::kBinary:
       replay_binary(s);
@@ -772,27 +716,6 @@ void replay_step(const RStep& s) {
       float* po = s.out->value.data();
       for (size_t r = 0; r < s.rows; ++r) {
         kern::softmax_row(pa + r * s.L, po + r * s.L, s.L);
-      }
-      break;
-    }
-    case tp::OpKind::kSoftmaxMasked: {
-      const float* pa = s.a->value.data();
-      const float* mk = s.b->value.data();
-      float* po = s.out->value.data();
-      for (size_t r = 0; r < s.rows; ++r) {
-        float* y = s.stash0 + r * s.L;
-        kern::softmax_row(pa + r * s.L, y, s.L);
-        s.stash1[r] = kern::masked_renorm_row(y, mk + (r % s.R) * s.L,
-                                              po + r * s.L, s.L, s.eps);
-      }
-      break;
-    }
-    case tp::OpKind::kLayerNorm: {
-      const float* pa = s.a->value.data();
-      float* po = s.out->value.data();
-      for (size_t r = 0; r < s.rows; ++r) {
-        s.stash0[r] =
-            kern::layer_norm_row(pa + r * s.L, po + r * s.L, s.L, s.eps);
       }
       break;
     }

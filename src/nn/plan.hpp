@@ -96,8 +96,8 @@ class PlanRegistry {
 };
 
 /// Structural registry key for an eval-mode predict plan of @p model at
-/// @p batch rows. Non-fp32 precisions append a ":q*" suffix so
-/// per-precision program variants register separately.
+/// @p batch rows. The int8 key appends ":q8" so the two precision variants
+/// register separately.
 std::string predict_plan_key(
     const TransformerRegressor& model, size_t batch,
     tensor::quant::Precision prec = tensor::quant::Precision::kFp32);
@@ -120,7 +120,7 @@ std::shared_ptr<const tensor::plan::CompiledProgram> compile_predict(
 
 /// Per-model cache of bound predict-plan executors, keyed by (batch, mask
 /// structure, precision). The thread-local PrecisionMode
-/// selects the variant: bf16/int8 entries run reduced-precision GEMM panels
+/// selects the variant: int8 entries run quantized GEMM panels
 /// (tensor/quant.hpp); an int8 request on a model without a calibration
 /// table downgrades to the fp32 variant, and any unplannable shape still
 /// falls back to eager fp32. Negative-caches unplannable keys; revalidates

@@ -554,7 +554,7 @@ Tensor div(const Tensor& a, float b) { return div(a, pooled_scalar(b)); }
 Tensor neg(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return -x; },
                    [](float, float) { return -1.0F; });
-  plan::trace_unary(plan::UnFn::kNeg, r, a);
+  plan::trace_unplannable("neg");
   return r;
 }
 
@@ -663,42 +663,42 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b) {
 Tensor relu(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return x > 0.0F ? x : 0.0F; },
                    [](float x, float) { return x > 0.0F ? 1.0F : 0.0F; });
-  plan::trace_unary(plan::UnFn::kRelu, r, a);
+  plan::trace_unplannable("relu");
   return r;
 }
 
 Tensor gelu(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return gelu_fwd(x); },
                    [](float x, float) { return gelu_dfn(x); });
-  plan::trace_unary(plan::UnFn::kGelu, r, a);
+  plan::trace_unplannable("gelu");
   return r;
 }
 
 Tensor tanh(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return std::tanh(x); },
                    [](float, float y) { return 1.0F - y * y; });
-  plan::trace_unary(plan::UnFn::kTanh, r, a);
+  plan::trace_unplannable("tanh");
   return r;
 }
 
 Tensor sigmoid(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return 1.0F / (1.0F + std::exp(-x)); },
                    [](float, float y) { return y * (1.0F - y); });
-  plan::trace_unary(plan::UnFn::kSigmoid, r, a);
+  plan::trace_unplannable("sigmoid");
   return r;
 }
 
 Tensor exp(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return std::exp(x); },
                    [](float, float y) { return y; });
-  plan::trace_unary(plan::UnFn::kExp, r, a);
+  plan::trace_unplannable("exp");
   return r;
 }
 
 Tensor log(const Tensor& a) {
   Tensor r = unary(a, [](float x) { return std::log(x); },
                    [](float x, float) { return 1.0F / x; });
-  plan::trace_unary(plan::UnFn::kLog, r, a);
+  plan::trace_unplannable("log");
   return r;
 }
 
@@ -756,10 +756,10 @@ Tensor layer_norm_lastdim(const Tensor& a, float eps) {
                              eps);
     if (rec) inv_std[r] = is;
   }
-  // The stash's heap buffer survives the PooledVec move below, so the traced
-  // pointer stays valid for the training-plan replay to refresh in place.
-  float* ivp = rec ? inv_std.data() : nullptr;
-  Tensor r = make_op_result(
+  // Plain LayerNorm has no plan instruction (the model only uses the affine
+  // form); a trace crossing it falls back to eager.
+  plan::trace_unplannable("layer_norm");
+  return make_op_result(
       an->shape, std::move(out), {an},
       [an, L, rows, inv_std = PooledVec(std::move(inv_std))](Node& self) {
         if (!an->requires_grad) return;
@@ -782,8 +782,6 @@ Tensor layer_norm_lastdim(const Tensor& a, float eps) {
           }
         }
       });
-  plan::trace_layer_norm(r, a, eps, ivp);
-  return r;
 }
 
 // The fused kernels below replace the hot op chains of the transformer
@@ -1308,7 +1306,7 @@ Tensor l1_loss(const Tensor& pred, const Tensor& target) {
   Tensor d = sub(pred, target);
   Tensor absd = unary(d, [](float x) { return std::fabs(x); },
                       [](float x, float) { return x >= 0.0F ? 1.0F : -1.0F; });
-  plan::trace_unary(plan::UnFn::kAbs, absd, d);
+  plan::trace_unplannable("abs");
   return mean(absd);
 }
 

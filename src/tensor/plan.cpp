@@ -5,7 +5,6 @@
 
 #include "core/parallel.hpp"
 #include "tensor/kernels.hpp"
-#include "tensor/pool.hpp"
 
 namespace metadse::tensor::plan {
 
@@ -80,14 +79,6 @@ void Hooks::rec_softmax_masked(const Tensor& out, const Tensor& a,
   r.f0 = eps;
   r.stash0 = ystash;
   r.stash1 = s2stash;
-}
-
-void Hooks::rec_layer_norm(const Tensor& out, const Tensor& a, float eps,
-                           float* inv_std) {
-  TraceRec& r = push(OpKind::kLayerNorm, out);
-  r.a = a.node();
-  r.f0 = eps;
-  r.stash1 = inv_std;
 }
 
 void Hooks::rec_layer_norm_affine(const Tensor& out, const Tensor& x,
@@ -176,7 +167,6 @@ void batch_offsets_for(const Shape& a_shape, const Shape& b_shape,
 namespace {
 
 constexpr size_t kAlignFloats = 16;     // 64-byte arena alignment
-constexpr size_t kMaxRank = 8;          // odometer stack-array bound
 constexpr size_t kAttnMaxS = 64;        // kFAttn stack-tile bounds
 constexpr size_t kAttnMaxDh = 32;
 
@@ -214,10 +204,7 @@ struct Build {
 template <typename F>
 void for_each_in(const Instr& ins, F&& f) {
   switch (ins.k) {
-    case IKind::kUnary:
     case IKind::kSoftmax:
-    case IKind::kLayerNorm:
-    case IKind::kReduceAll:
     case IKind::kReduceAxis:
     case IKind::kCopy:
     case IKind::kPermute:
@@ -304,8 +291,8 @@ void erase_instrs(Build& b, const std::vector<size_t>& idxs) {
 
 // -- lowering ----------------------------------------------------------------
 
-/// Lowers one trace record into a generic instruction. Returns false (with
-/// @p why) for shapes the executor cannot replay.
+/// Lowers one trace record into an instruction. Returns false (with @p why)
+/// for records no instruction exists for.
 bool lower(Build& b, const TraceRec& rec, uint32_t out, uint32_t va,
            uint32_t vb, uint32_t vc, std::string* why) {
   Instr ins;
@@ -314,7 +301,6 @@ bool lower(Build& b, const TraceRec& rec, uint32_t out, uint32_t va,
   ins.b = vb;
   ins.c = vc;
   const Shape& as = rec.a ? rec.a->shape : Shape{};
-  const Shape& os = rec.out->shape;
   switch (rec.kind) {
     case OpKind::kConst:
       return true;  // no instruction; value snapshotted in the cell
@@ -322,40 +308,24 @@ bool lower(Build& b, const TraceRec& rec, uint32_t out, uint32_t va,
       ins.k = IKind::kBinary;
       ins.fn = rec.fn;
       const Shape& bs = rec.b->shape;
-      const size_t an_n = numel(as);
-      const size_t bn_n = numel(bs);
       if (as == bs) {
         ins.mode = 0;
-        ins.n = an_n;
-      } else if (bn_n != 0 && is_trailing_suffix(bs, as)) {
+      } else if (numel(bs) != 0 && is_trailing_suffix(bs, as)) {
         ins.mode = 1;
-        ins.n = an_n;
-        ins.r0 = bn_n;
-      } else if (an_n != 0 && is_trailing_suffix(as, bs)) {
-        ins.mode = 2;
-        ins.n = bn_n;
-        ins.r0 = an_n;
+        ins.n = numel(as);
+        ins.r0 = numel(bs);
       } else {
-        ins.mode = 3;
-        ins.so = os;
-        ins.n = numel(os);
-        if (os.size() > kMaxRank) {
-          *why = "binary broadcast rank too large";
-          return false;
-        }
-        const auto sa = broadcast_strides(as, os);
-        const auto sb = broadcast_strides(bs, os);
-        ins.tbl.reserve(sa.size() + sb.size());
-        ins.tbl.insert(ins.tbl.end(), sa.begin(), sa.end());
-        ins.tbl.insert(ins.tbl.end(), sb.begin(), sb.end());
+        ins.mode = 2;
+        ins.so = rec.out->shape;
       }
       break;
     }
     case OpKind::kUnary:
-      ins.k = IKind::kUnary;
-      ins.fn = rec.fn;
-      ins.n = numel(as);
-      break;
+    case OpKind::kReduceAll:
+      // recorded only for the training tape's loss (square, mean)
+      *why = std::string(rec.kind == OpKind::kUnary ? "unary" : "reduce_all") +
+             " is outside the plan executor's instruction set";
+      return false;
     case OpKind::kMatmul: {
       ins.k = IKind::kGemm;
       ins.flag = rec.flag;
@@ -369,20 +339,9 @@ bool lower(Build& b, const TraceRec& rec, uint32_t out, uint32_t va,
     }
     case OpKind::kSoftmax:
       ins.k = IKind::kSoftmax;
-      ins.n = as.back();
-      ins.m = numel(as) / ins.n;
       break;
     case OpKind::kSoftmaxMasked:
       ins.k = IKind::kSoftmaxMasked;
-      ins.n = as.back();
-      ins.m = numel(as) / ins.n;
-      ins.r0 = as[as.size() - 2];
-      ins.f0 = rec.f0;
-      break;
-    case OpKind::kLayerNorm:
-      ins.k = IKind::kLayerNorm;
-      ins.n = as.back();
-      ins.m = numel(as) / ins.n;
       ins.f0 = rec.f0;
       break;
     case OpKind::kLayerNormAffine:
@@ -394,12 +353,6 @@ bool lower(Build& b, const TraceRec& rec, uint32_t out, uint32_t va,
     case OpKind::kBiasGelu:
       ins.k = IKind::kBiasGelu;
       ins.n = as.back();
-      ins.m = numel(as);
-      break;
-    case OpKind::kReduceAll:
-      ins.k = IKind::kReduceAll;
-      ins.mode = rec.fn;
-      ins.n = numel(as);
       break;
     case OpKind::kReduceAxis: {
       ins.k = IKind::kReduceAxis;
@@ -415,26 +368,10 @@ bool lower(Build& b, const TraceRec& rec, uint32_t out, uint32_t va,
     }
     case OpKind::kReshape:
       ins.k = IKind::kCopy;
-      ins.n = numel(as);
       break;
-    case OpKind::kPermute: {
+    case OpKind::kPermute:
       ins.k = IKind::kPermute;
-      if (os.size() > kMaxRank) {
-        *why = "permute rank too large";
-        return false;
-      }
-      const auto in_strides = row_major_strides(as);
-      const bool last_fixed =
-          !rec.perm.empty() && rec.perm.back() == as.size() - 1 &&
-          as.back() > 1;
-      ins.r0 = last_fixed ? as.back() : 1;
-      ins.r1 = last_fixed ? os.size() - 1 : os.size();
-      ins.tbl.resize(ins.r1);
-      for (size_t d = 0; d < ins.r1; ++d) ins.tbl[d] = in_strides[rec.perm[d]];
-      ins.n = numel(os);
-      ins.so = os;
       break;
-    }
   }
   b.instrs.push_back(std::move(ins));
   b.perms.push_back(rec.perm);
@@ -574,7 +511,7 @@ void pass_fuse_embed(Build& b) {
   for (size_t i = 0; i < b.instrs.size(); ++i) {
     const Instr& ml = b.instrs[i];
     if (ml.k != IKind::kBinary || ml.fn != static_cast<uint8_t>(BinFn::kMul) ||
-        ml.mode != 3) {
+        ml.mode != 2) {
       continue;
     }
     // Shapes come from the referenced cells: after pass_alias_reshapes the
@@ -700,6 +637,68 @@ void pass_flatten_gemms(Build& b) {
     g.m *= g.aoff.size();
     g.aoff.assign(1, 0);
     g.boff.assign(1, 0);
+  }
+}
+
+const char* ikind_name(IKind k) {
+  switch (k) {
+    case IKind::kBinary: return "binary";
+    case IKind::kGemm: return "gemm";
+    case IKind::kSoftmax: return "softmax";
+    case IKind::kSoftmaxMasked: return "softmax_masked";
+    case IKind::kLayerNormAffine: return "layer_norm_affine";
+    case IKind::kBiasGelu: return "bias_gelu";
+    case IKind::kReduceAxis: return "reduce_axis";
+    case IKind::kCopy: return "copy";
+    case IKind::kPermute: return "permute";
+    case IKind::kFEmbed: return "fused_embed";
+    case IKind::kFAttn: return "fused_attention";
+    case IKind::kFGemmBias: return "fused_gemm_bias";
+    case IKind::kFGemmBiasRes: return "fused_gemm_bias_residual";
+    case IKind::kFGemmBiasGelu: return "fused_gemm_bias_gelu";
+  }
+  return "?";
+}
+
+const char* binfn_name(uint8_t fn) {
+  switch (static_cast<BinFn>(fn)) {
+    case BinFn::kAdd: return "add";
+    case BinFn::kSub: return "sub";
+    case BinFn::kMul: return "mul";
+    case BinFn::kDiv: return "div";
+  }
+  return "?";
+}
+
+/// Display name of an instruction: its kind plus the variant that matters
+/// to the executor (binary fn, transposed gemm, masked attention).
+std::string instr_name(const Instr& ins) {
+  std::string name = ikind_name(ins.k);
+  if (ins.k == IKind::kBinary) name = name + "." + binfn_name(ins.fn);
+  if (ins.k == IKind::kGemm && ins.flag) name += ".nt";
+  if (ins.k == IKind::kFAttn && ins.flag) name += ".masked";
+  return name;
+}
+
+/// The executor's instruction set: exactly what the paper predictor's fused
+/// schedule runs (DESIGN.md §13.1). Softmax, permutes, bias_gelu, the other
+/// binary ops and transposed gemms exist only as fusion-pass inputs.
+bool executable(const Instr& ins) {
+  switch (ins.k) {
+    case IKind::kBinary:
+      return ins.fn == static_cast<uint8_t>(BinFn::kAdd) && ins.mode == 1;
+    case IKind::kGemm:
+      return !ins.flag;
+    case IKind::kLayerNormAffine:
+    case IKind::kReduceAxis:
+    case IKind::kFEmbed:
+    case IKind::kFAttn:
+    case IKind::kFGemmBias:
+    case IKind::kFGemmBiasRes:
+    case IKind::kFGemmBiasGelu:
+      return true;
+    default:
+      return false;
   }
 }
 
@@ -900,6 +899,13 @@ std::shared_ptr<const CompiledProgram> compile(
   pass_fuse_gemm_epilogues(b);
   pass_flatten_gemms(b);
   pass_dce(b);
+  for (const Instr& ins : b.instrs) {
+    if (!executable(ins)) {
+      *why = instr_name(ins) +
+             " is outside the plan executor's instruction set";
+      return nullptr;
+    }
+  }
   const size_t arena = plan_memory(b);
 
   auto prog = std::make_shared<CompiledProgram>();
@@ -977,14 +983,10 @@ size_t CompiledProgram::static_bytes(quant::Precision p) const {
   size_t scratch = 0;
   for (const size_t i : quant_gemms()) {
     const Instr& ins = instrs[i];
-    if (p == quant::Precision::kInt8) {
-      const size_t k4 = (ins.kk + 3) / 4;
-      total += k4 * 4 * ins.n;                // packed int8 weight
-      total += ins.n * sizeof(int32_t);       // per-column compensation
-      scratch = std::max(scratch, ins.m * k4 * 4);  // u8 activation rows
-    } else {
-      total += ins.kk * ins.n * sizeof(uint16_t);  // bf16 weight copy
-    }
+    const size_t k4 = (ins.kk + 3) / 4;
+    total += k4 * 4 * ins.n;                      // packed int8 weight
+    total += ins.n * sizeof(int32_t);             // per-column compensation
+    scratch = std::max(scratch, ins.m * k4 * 4);  // u8 activation rows
   }
   return total + scratch;
 }
@@ -994,9 +996,8 @@ size_t CompiledProgram::static_bytes(quant::Precision p) const {
 /// in steady-state serving that is once per bound executor.
 struct ProgramExec::QuantGemm {
   size_t instr = 0;
-  quant::QuantizedWeight w8;   // int8 tier
-  quant::Bf16Weight wb;        // bf16 tier
-  float act_scale = 1.0F;      // int8: calibrated activation scale
+  quant::QuantizedWeight w8;
+  float act_scale = 1.0F;  // calibrated activation scale
 };
 
 ProgramExec::ProgramExec(std::shared_ptr<const CompiledProgram> prog)
@@ -1045,14 +1046,10 @@ void ProgramExec::prepare_quant_() {
     const Instr& ins = prog_->instrs[idxs[qi]];
     QuantGemm qg;
     qg.instr = idxs[qi];
-    const float* wsrc = ptrs_[ins.b] + ins.boff[0];
-    if (precision_ == quant::Precision::kInt8) {
-      quant::quantize_weight_kn(wsrc, ins.kk, ins.n, &qg.w8);
-      qg.act_scale = quant::scale_for(calib_[qi]);
-      scratch = std::max(scratch, ins.m * qg.w8.K4 * 4);
-    } else {
-      quant::bf16_pack_weight(wsrc, ins.kk, ins.n, &qg.wb);
-    }
+    quant::quantize_weight_kn(ptrs_[ins.b] + ins.boff[0], ins.kk, ins.n,
+                              &qg.w8);
+    qg.act_scale = quant::scale_for(calib_[qi]);
+    scratch = std::max(scratch, ins.m * qg.w8.K4 * 4);
     qgemms_.push_back(std::move(qg));
   }
   qscratch_.resize(scratch);
@@ -1083,69 +1080,6 @@ void ProgramExec::resolve_() {
 namespace {
 
 using kern::gelu_fwd;
-
-/// Elementwise binary dispatch reproducing binary_bcast's forward loops
-/// (same per-element ops; mode picked at compile time the same way the
-/// eager shape tests pick a path).
-template <typename F>
-void run_binary(const Instr& ins, const float* a, const float* bb, float* o,
-                F fwd) {
-  switch (ins.mode) {
-    case 0:
-      for (size_t i = 0; i < ins.n; ++i) o[i] = fwd(a[i], bb[i]);
-      break;
-    case 1: {
-      const size_t L = ins.r0;
-      if (L == 1) {
-        const float bv = bb[0];
-        for (size_t i = 0; i < ins.n; ++i) o[i] = fwd(a[i], bv);
-      } else {
-        for (size_t i0 = 0; i0 < ins.n; i0 += L) {
-          const float* pa = a + i0;
-          float* po = o + i0;
-          for (size_t j = 0; j < L; ++j) po[j] = fwd(pa[j], bb[j]);
-        }
-      }
-      break;
-    }
-    case 2: {
-      const size_t L = ins.r0;
-      if (L == 1) {
-        const float av = a[0];
-        for (size_t i = 0; i < ins.n; ++i) o[i] = fwd(av, bb[i]);
-      } else {
-        for (size_t i0 = 0; i0 < ins.n; i0 += L) {
-          const float* pb = bb + i0;
-          float* po = o + i0;
-          for (size_t j = 0; j < L; ++j) po[j] = fwd(a[j], pb[j]);
-        }
-      }
-      break;
-    }
-    default: {
-      // general broadcast: incremental odometer over the output shape
-      const size_t rank = ins.so.size();
-      const size_t* sa = ins.tbl.data();
-      const size_t* sb = ins.tbl.data() + rank;
-      size_t idx[kMaxRank] = {0};
-      size_t oa = 0;
-      size_t ob = 0;
-      for (size_t i = 0; i < ins.n; ++i) {
-        o[i] = fwd(a[oa], bb[ob]);
-        for (size_t d = rank; d-- > 0;) {
-          ++idx[d];
-          oa += sa[d];
-          ob += sb[d];
-          if (idx[d] < ins.so[d]) break;
-          oa -= idx[d] * sa[d];
-          ob -= idx[d] * sb[d];
-          idx[d] = 0;
-        }
-      }
-      break;
-    }
-  }
-}
 
 /// Batched GEMM with an optional per-row epilogue applied after each output
 /// element's complete K accumulation (epi 0: none, 1: +bias, 2: +bias then
@@ -1188,35 +1122,6 @@ void run_gemm(const Instr& ins, const float* a, const float* w, float* o,
           }
         }
       });
-}
-
-/// C = A * B^T via the same pack-then-panel scheme as gemm_nt_forward
-/// (pooled pack buffer; pool reuse, no steady-state allocation after
-/// warmup).
-void run_gemm_nt(const Instr& ins, const float* a, const float* bsrc,
-                 float* c) {
-  const size_t M = ins.m;
-  const size_t K = ins.kk;
-  const size_t N = ins.n;
-  const size_t nb = ins.aoff.size();
-  const size_t o_mat = M * N;
-  const size_t b_mat = K * N;
-  std::vector<float> bt = BufferPool::acquire(nb * b_mat);
-  for (size_t bi = 0; bi < nb; ++bi) {
-    const float* pb = bsrc + ins.boff[bi];
-    float* pt = bt.data() + bi * b_mat;
-    for (size_t n = 0; n < N; ++n) {
-      for (size_t k = 0; k < K; ++k) pt[k * N + n] = pb[n * K + k];
-    }
-  }
-  core::parallel_for_blocks_static(
-      M, kern::gemm_row_grain(K * N * nb), [&](size_t m0, size_t m1) {
-        for (size_t bi = 0; bi < nb; ++bi) {
-          kern::gemm_rows<true>(a + ins.aoff[bi], bt.data() + bi * b_mat,
-                                c + bi * o_mat, m0, m1, 0, K, K, N);
-        }
-      });
-  BufferPool::release(std::move(bt));
 }
 
 /// Fused attention core over the [B,S,H*Dh] projections: per (b,h) group,
@@ -1288,27 +1193,14 @@ void fattn_groups_impl(size_t rt_s, size_t rt_dh, size_t D, size_t H,
   }
 }
 
-/// Shape dispatcher: route the common (S, Dh) pairs (the paper's 24-token
-/// config and the small test configs) to fully-specialized instantiations,
-/// everything else to the generic one.
+/// Shape dispatcher: the paper predictor's (S, Dh) = (24, 8) runs the
+/// fully-specialized instantiation, every other shape the generic one.
 void fattn_groups(size_t S, size_t Dh, size_t D, size_t H, float scale,
                   float eps, const float* q, const float* k, const float* v,
                   const float* mask, float* o, size_t g0, size_t g1) {
-  if (Dh == 8) {
-    switch (S) {
-      case 24:
-        return fattn_groups_impl<24, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                        mask, o, g0, g1);
-      case 16:
-        return fattn_groups_impl<16, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                        mask, o, g0, g1);
-      case 8:
-        return fattn_groups_impl<8, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                       mask, o, g0, g1);
-      default:
-        return fattn_groups_impl<0, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                       mask, o, g0, g1);
-    }
+  if (S == 24 && Dh == 8) {
+    return fattn_groups_impl<24, 8>(S, Dh, D, H, scale, eps, q, k, v, mask, o,
+                                    g0, g1);
   }
   fattn_groups_impl<0, 0>(S, Dh, D, H, scale, eps, q, k, v, mask, o, g0, g1);
 }
@@ -1335,12 +1227,11 @@ void run_fattn(const Instr& ins, const float* q, const float* k,
 void ProgramExec::run(const float* in, float* out) {
   if (!resolved_) resolve_();
   const CompiledProgram& p = *prog_;
-  // Reduced-precision execution only engages off the default path: never
-  // during calibration capture (which must observe fp32 activations), and
-  // int8 never without a calibration table.
-  const bool quant_run =
-      precision_ != quant::Precision::kFp32 && capture_ == nullptr &&
-      (precision_ != quant::Precision::kInt8 || calibrated_);
+  // int8 execution only engages off the default path: never during
+  // calibration capture (which must observe fp32 activations), and never
+  // without a calibration table.
+  const bool quant_run = precision_ == quant::Precision::kInt8 &&
+                         capture_ == nullptr && calibrated_;
   if (quant_run && !qready_) prepare_quant_();
   size_t next_q = 0;  // cursor over quantizable gemms, schedule order
   // int8 activation-quantization cache: the q/k/v projections read the same
@@ -1367,29 +1258,22 @@ void ProgramExec::run(const float* in, float* out) {
     QuantGemm& qg = qgemms_[next_q++];
     const float* pa = a + ins.aoff[0];
     const size_t grain = kern::gemm_row_grain(ins.kk * ins.n);
-    if (precision_ == quant::Precision::kInt8) {
-      const size_t ldq = qg.w8.K4 * 4;
-      if (pa != qact_src || qg.act_scale != qact_scale || ins.m != qact_m ||
-          ins.kk != qact_k) {
-        quant::quantize_act_u8(pa, ins.m, ins.kk, qg.act_scale,
-                               qscratch_.data(), ldq);
-        qact_src = pa;
-        qact_scale = qg.act_scale;
-        qact_m = ins.m;
-        qact_k = ins.kk;
-      }
-      const float dq = qg.act_scale * qg.w8.scale;
-      core::parallel_for_blocks_static(
-          ins.m, grain, [&](size_t m0, size_t m1) {
-            quant::gemm_u8s8(qscratch_.data(), ldq, qg.w8, dq, bias, res,
-                             ins.n, epi, o, m0, m1);
-          });
-    } else {
-      core::parallel_for_blocks_static(
-          ins.m, grain, [&](size_t m0, size_t m1) {
-            quant::gemm_bf16(pa, qg.wb, bias, res, ins.n, epi, o, m0, m1);
-          });
+    const size_t ldq = qg.w8.K4 * 4;
+    if (pa != qact_src || qg.act_scale != qact_scale || ins.m != qact_m ||
+        ins.kk != qact_k) {
+      quant::quantize_act_u8(pa, ins.m, ins.kk, qg.act_scale,
+                             qscratch_.data(), ldq);
+      qact_src = pa;
+      qact_scale = qg.act_scale;
+      qact_m = ins.m;
+      qact_k = ins.kk;
     }
+    const float dq = qg.act_scale * qg.w8.scale;
+    core::parallel_for_blocks_static(
+        ins.m, grain, [&](size_t m0, size_t m1) {
+          quant::gemm_u8s8(qscratch_.data(), ldq, qg.w8, dq, bias, res,
+                           ins.n, epi, o, m0, m1);
+        });
     return true;
   };
   std::copy(in, in + numel(p.in_shape),
@@ -1401,61 +1285,13 @@ void ProgramExec::run(const float* in, float* out) {
     float* o = ptrs_[ins.out];
     switch (ins.k) {
       case IKind::kBinary:
-        switch (static_cast<BinFn>(ins.fn)) {
-          case BinFn::kAdd:
-            run_binary(ins, a, bb, o, [](float x, float y) { return x + y; });
-            break;
-          case BinFn::kSub:
-            run_binary(ins, a, bb, o, [](float x, float y) { return x - y; });
-            break;
-          case BinFn::kMul:
-            run_binary(ins, a, bb, o, [](float x, float y) { return x * y; });
-            break;
-          case BinFn::kDiv:
-            run_binary(ins, a, bb, o, [](float x, float y) { return x / y; });
-            break;
+        // add with a trailing-suffix operand, binary_bcast's forward loop
+        for (size_t i0 = 0; i0 < ins.n; i0 += ins.r0) {
+          for (size_t j = 0; j < ins.r0; ++j) o[i0 + j] = a[i0 + j] + bb[j];
         }
         break;
-      case IKind::kUnary: {
-        // the exact scalar expressions of the eager unary ops
-        const size_t n = ins.n;
-        switch (static_cast<UnFn>(ins.fn)) {
-          case UnFn::kNeg:
-            for (size_t i = 0; i < n; ++i) o[i] = -a[i];
-            break;
-          case UnFn::kRelu:
-            for (size_t i = 0; i < n; ++i) o[i] = a[i] > 0.0F ? a[i] : 0.0F;
-            break;
-          case UnFn::kGelu:
-            for (size_t i = 0; i < n; ++i) o[i] = gelu_fwd(a[i]);
-            break;
-          case UnFn::kTanh:
-            for (size_t i = 0; i < n; ++i) o[i] = std::tanh(a[i]);
-            break;
-          case UnFn::kSigmoid:
-            for (size_t i = 0; i < n; ++i) {
-              o[i] = 1.0F / (1.0F + std::exp(-a[i]));
-            }
-            break;
-          case UnFn::kExp:
-            for (size_t i = 0; i < n; ++i) o[i] = std::exp(a[i]);
-            break;
-          case UnFn::kLog:
-            for (size_t i = 0; i < n; ++i) o[i] = std::log(a[i]);
-            break;
-          case UnFn::kSquare:
-            for (size_t i = 0; i < n; ++i) o[i] = a[i] * a[i];
-            break;
-          case UnFn::kAbs:
-            for (size_t i = 0; i < n; ++i) o[i] = std::fabs(a[i]);
-            break;
-        }
-        break;
-      }
       case IKind::kGemm:
-        if (ins.flag) {
-          run_gemm_nt(ins, a, bb, o);
-        } else if (!maybe_quant(ins, a, nullptr, nullptr, o, 0)) {
+        if (!maybe_quant(ins, a, nullptr, nullptr, o, 0)) {
           run_gemm(ins, a, bb, o, nullptr, nullptr, 0);
         }
         break;
@@ -1474,26 +1310,6 @@ void ProgramExec::run(const float* in, float* out) {
           run_gemm(ins, a, bb, o, cc, nullptr, 3);
         }
         break;
-      case IKind::kSoftmax:
-        for (size_t r = 0; r < ins.m; ++r) {
-          kern::softmax_row(a + r * ins.n, o + r * ins.n, ins.n);
-        }
-        break;
-      case IKind::kSoftmaxMasked:
-        // no-grad form of softmax_masked_lastdim: the output row doubles as
-        // the softmax scratch
-        for (size_t r = 0; r < ins.m; ++r) {
-          float* po = o + r * ins.n;
-          kern::softmax_row(a + r * ins.n, po, ins.n);
-          kern::masked_renorm_row(po, bb + (r % ins.r0) * ins.n, po, ins.n,
-                                  ins.f0);
-        }
-        break;
-      case IKind::kLayerNorm:
-        for (size_t r = 0; r < ins.m; ++r) {
-          kern::layer_norm_row(a + r * ins.n, o + r * ins.n, ins.n, ins.f0);
-        }
-        break;
       case IKind::kLayerNormAffine:
         if (quant_run) {
           quant::layer_norm_affine_rows_fast(a, bb, cc, o, ins.m, ins.n,
@@ -1505,15 +1321,6 @@ void ProgramExec::run(const float* in, float* out) {
           }
         }
         break;
-      case IKind::kBiasGelu:
-        kern::bias_gelu_rows(a, bb, o, ins.m, ins.n);
-        break;
-      case IKind::kReduceAll: {
-        float s = 0.0F;
-        for (size_t i = 0; i < ins.n; ++i) s += a[i];
-        o[0] = ins.mode != 0 ? s / static_cast<float>(ins.n) : s;
-        break;
-      }
       case IKind::kReduceAxis: {
         const size_t outer = ins.r0;
         const size_t ax = ins.r1;
@@ -1532,26 +1339,12 @@ void ProgramExec::run(const float* in, float* out) {
         }
         break;
       }
+      case IKind::kSoftmax:
+      case IKind::kSoftmaxMasked:
+      case IKind::kBiasGelu:
       case IKind::kCopy:
-        std::copy(a, a + ins.n, o);
-        break;
-      case IKind::kPermute: {
-        const size_t run = ins.r0;
-        const size_t outer_rank = ins.r1;
-        size_t idx[kMaxRank] = {0};
-        size_t off = 0;
-        for (size_t i = 0; i < ins.n; i += run) {
-          for (size_t j = 0; j < run; ++j) o[i + j] = a[off + j];
-          for (size_t d = outer_rank; d-- > 0;) {
-            ++idx[d];
-            off += ins.tbl[d];
-            if (idx[d] < ins.so[d]) break;
-            off -= ins.so[d] * ins.tbl[d];
-            idx[d] = 0;
-          }
-        }
-        break;
-      }
+      case IKind::kPermute:
+        break;  // fusion-pass inputs only: compile() never emits them
       case IKind::kFEmbed: {
         const size_t B = ins.r0;
         const size_t S = ins.r1;
@@ -1600,39 +1393,6 @@ void ProgramExec::run(const float* in, float* out) {
 
 namespace {
 
-const char* ikind_name(IKind k) {
-  switch (k) {
-    case IKind::kBinary: return "binary";
-    case IKind::kUnary: return "unary";
-    case IKind::kGemm: return "gemm";
-    case IKind::kSoftmax: return "softmax";
-    case IKind::kSoftmaxMasked: return "softmax_masked";
-    case IKind::kLayerNorm: return "layer_norm";
-    case IKind::kLayerNormAffine: return "layer_norm_affine";
-    case IKind::kBiasGelu: return "bias_gelu";
-    case IKind::kReduceAll: return "reduce_all";
-    case IKind::kReduceAxis: return "reduce_axis";
-    case IKind::kCopy: return "copy";
-    case IKind::kPermute: return "permute";
-    case IKind::kFEmbed: return "fused_embed";
-    case IKind::kFAttn: return "fused_attention";
-    case IKind::kFGemmBias: return "fused_gemm_bias";
-    case IKind::kFGemmBiasRes: return "fused_gemm_bias_residual";
-    case IKind::kFGemmBiasGelu: return "fused_gemm_bias_gelu";
-  }
-  return "?";
-}
-
-const char* binfn_name(uint8_t fn) {
-  switch (static_cast<BinFn>(fn)) {
-    case BinFn::kAdd: return "add";
-    case BinFn::kSub: return "sub";
-    case BinFn::kMul: return "mul";
-    case BinFn::kDiv: return "div";
-  }
-  return "?";
-}
-
 void dump_cell(std::ostream& os, const CompiledProgram& p, uint32_t v) {
   const Cell& c = p.cells[v];
   os << "%" << v << shape_str(c.shape);
@@ -1659,65 +1419,21 @@ void CompiledProgram::dump(std::ostream& os, quant::Precision p) const {
   if (p != quant::Precision::kFp32) {
     for (const size_t i : quant_gemms()) quantized[i] = true;
   }
-  const char* qtag = p == quant::Precision::kInt8 ? "i8" : "bf16";
   os << "schedule (" << instrs.size() << " instrs, " << fused_instrs
      << " fused):\n";
   for (size_t i = 0; i < instrs.size(); ++i) {
     const Instr& ins = instrs[i];
-    os << "  [" << i << "] " << ikind_name(ins.k);
-    if (ins.k == IKind::kBinary) os << "." << binfn_name(ins.fn);
-    if (ins.k == IKind::kGemm && ins.flag) os << ".nt";
-    if (ins.k == IKind::kFAttn && ins.flag) os << ".masked";
-    os << " {" << (quantized[i] ? qtag : "f32") << "}";
-    os << " ";
+    os << "  [" << i << "] " << instr_name(ins) << " {"
+       << (quantized[i] ? "i8" : "f32") << "} ";
     dump_cell(os, *this, ins.out);
     os << " <- ";
     bool first = true;
-    // replicate operand order via the same enumeration the passes use
-    const Instr& cins = ins;
-    auto show = [&](uint32_t v) {
+    // operand order is the enumeration the passes use
+    for_each_in(ins, [&](uint32_t v) {
       if (!first) os << ", ";
       first = false;
       dump_cell(os, *this, v);
-    };
-    switch (cins.k) {
-      case IKind::kUnary:
-      case IKind::kSoftmax:
-      case IKind::kLayerNorm:
-      case IKind::kReduceAll:
-      case IKind::kReduceAxis:
-      case IKind::kCopy:
-      case IKind::kPermute:
-        show(cins.a);
-        break;
-      case IKind::kBinary:
-      case IKind::kGemm:
-      case IKind::kSoftmaxMasked:
-      case IKind::kBiasGelu:
-        show(cins.a);
-        show(cins.b);
-        break;
-      case IKind::kLayerNormAffine:
-      case IKind::kFEmbed:
-      case IKind::kFGemmBias:
-      case IKind::kFGemmBiasGelu:
-        show(cins.a);
-        show(cins.b);
-        show(cins.c);
-        break;
-      case IKind::kFGemmBiasRes:
-        show(cins.a);
-        show(cins.b);
-        show(cins.c);
-        show(cins.d);
-        break;
-      case IKind::kFAttn:
-        show(cins.a);
-        show(cins.b);
-        show(cins.c);
-        if (cins.flag) show(cins.d);
-        break;
-    }
+    });
     os << "\n";
   }
   os << "arena: " << arena_floats << " floats ("
@@ -1732,8 +1448,6 @@ void CompiledProgram::dump(std::ostream& os, quant::Precision p) const {
        << "\n";
   }
   os << "static bytes: " << static_bytes() << "\n";
-  os << "static bytes (bf16): " << static_bytes(quant::Precision::kBf16)
-     << " (arena + consts + bf16 weight copies)\n";
   os << "static bytes (int8): " << static_bytes(quant::Precision::kInt8)
      << " (arena + consts + packed weights + compensation + u8 scratch)\n";
 }

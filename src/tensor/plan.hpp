@@ -8,7 +8,10 @@
 // installed on this thread), producing a linear SSA record of the forward.
 // compile() turns those records plus a caller-supplied leaf binding
 // (input / external slots) into an immutable CompiledProgram; ProgramExec
-// binds one program to concrete parameter pointers and runs it. Policy —
+// binds one program to concrete parameter pointers and runs it. The
+// executor runs only the instructions the paper predictor's fused schedule
+// needs, at fp32 or int8: a trace that keeps anything else declines to
+// compile, and the caller runs eager with identical bits. Policy —
 // which leaves are parameters, plan keys, caches, the training tape replay —
 // lives in nn/plan.hpp.
 //
@@ -39,7 +42,6 @@ enum class OpKind : uint8_t {
   kMatmul,    // flag distinguishes nt
   kSoftmax,
   kSoftmaxMasked,
-  kLayerNorm,
   kLayerNormAffine,
   kBiasGelu,
   kReduceAll,   // fn: 0 sum, 1 mean
@@ -49,17 +51,9 @@ enum class OpKind : uint8_t {
 };
 
 enum class BinFn : uint8_t { kAdd, kSub, kMul, kDiv };
-enum class UnFn : uint8_t {
-  kNeg,
-  kRelu,
-  kGelu,
-  kTanh,
-  kSigmoid,
-  kExp,
-  kLog,
-  kSquare,
-  kAbs,
-};
+// The one elementwise unary a training tape records (mse_loss). The other
+// eager unaries poison a trace (trace_unplannable) instead of recording.
+enum class UnFn : uint8_t { kSquare };
 
 /// One traced op. Holds shared_ptrs to its nodes so no-grad intermediates
 /// stay alive (and distinguishable by address) until compile() runs; this
@@ -131,8 +125,6 @@ struct Hooks {
   static void rec_softmax_masked(const Tensor& out, const Tensor& a,
                                  const Tensor& m, float eps, float* ystash,
                                  float* s2stash);
-  static void rec_layer_norm(const Tensor& out, const Tensor& a, float eps,
-                             float* inv_std);
   static void rec_layer_norm_affine(const Tensor& out, const Tensor& x,
                                     const Tensor& g, const Tensor& b,
                                     float eps, float* normed, float* inv_std);
@@ -169,10 +161,6 @@ inline void trace_softmax_masked(const Tensor& out, const Tensor& a,
                                  float* s2stash) {
   if (tracing()) Hooks::rec_softmax_masked(out, a, m, eps, ystash, s2stash);
 }
-inline void trace_layer_norm(const Tensor& out, const Tensor& a, float eps,
-                             float* inv_std) {
-  if (tracing()) Hooks::rec_layer_norm(out, a, eps, inv_std);
-}
 inline void trace_layer_norm_affine(const Tensor& out, const Tensor& x,
                                     const Tensor& g, const Tensor& b,
                                     float eps, float* normed, float* inv_std) {
@@ -204,20 +192,20 @@ inline void trace_unplannable(const char* why) {
 
 // -- compiled program --------------------------------------------------------
 
-/// Executable instruction kinds. The kGeneric* set mirrors the eager ops
-/// one-to-one; the kF* set are plan-time fusions of multi-op patterns whose
+/// Instruction kinds. The unprefixed kinds are lowered one-to-one from trace
+/// records; the kF* set are plan-time fusions of multi-op patterns whose
 /// per-element rounding sequences are provably identical to the composed
-/// chain (DESIGN.md §13).
+/// chain (DESIGN.md §13). The executor runs only the paper predictor's set —
+/// binary add with a suffix operand, non-transposed gemm, kLayerNormAffine,
+/// kReduceAxis and the kF* kinds; the others exist as fusion-pass inputs, and
+/// compile() declines a program that still holds one (DESIGN.md §13.1).
 enum class IKind : uint8_t {
   kBinary,
-  kUnary,
   kGemm,            // flag: nt
   kSoftmax,
   kSoftmaxMasked,
-  kLayerNorm,
   kLayerNormAffine,
   kBiasGelu,
-  kReduceAll,       // mode: 0 sum, 1 mean
   kReduceAxis,      // mode: 0 sum, 1 mean
   kCopy,
   kPermute,
@@ -244,21 +232,18 @@ struct Cell {
   uint32_t slot = 0;     // kExternal: caller slot; kConst: offset into consts
 };
 
-/// One executable instruction over cell ids. All addressing metadata
-/// (batch offsets, permute strides, broadcast strides) is precomputed at
-/// compile time; run() only reads it. Field use by kind:
-///   kBinary       fn=BinFn, mode 0 same / 1 b-suffix / 2 a-suffix /
-///                 3 general (tbl = a-strides ++ b-strides over so), r0=L
-///   kUnary        fn=UnFn, n=numel
+/// One instruction over cell ids. All addressing metadata (batch offsets,
+/// shapes) is precomputed at compile time; run() only reads it. Field use by
+/// kind:
+///   kBinary       fn=BinFn, mode 0 same / 1 b-suffix (r0=L, n=numel) /
+///                 2 general broadcast (so=out shape)
 ///   kGemm         m/kk/n, aoff/boff per batch, flag=nt
-///   kSoftmax      m=rows, n=L
-///   kSoftmaxMasked m=rows, n=L, r0=R, f0=eps, b=mask
-///   kLayerNorm[Affine] m=rows, n=L, f0=eps [, b=gamma, c=beta]
-///   kBiasGelu     m=total, n=L, b=bias
-///   kReduceAll    n=numel, mode=mean
+///   kSoftmax      a only
+///   kSoftmaxMasked b=mask, f0=eps
+///   kLayerNormAffine m=rows, n=L, f0=eps, b=gamma, c=beta
+///   kBiasGelu     n=L, b=bias
 ///   kReduceAxis   r0=outer, r1=ax, r2=inner, mode=mean
-///   kCopy         n=numel
-///   kPermute      tbl=src strides per outer out dim, r0=run, r1=outer_rank
+///   kCopy, kPermute  a only (the permutation stays on the Build)
 ///   kFEmbed       a=x [B,S], b=ve, c=pe, r0=B, r1=S, kk=D
 ///   kFAttn        a/b/c=q/k/v [B,S,H*Dh], d=mask (flag), m=S, kk=Dh,
 ///                 n=H*Dh, r0=B, r1=H, f0=scale, f1=eps
@@ -275,7 +260,6 @@ struct Instr {
   float f0 = 0.0F;
   float f1 = 0.0F;
   std::vector<size_t> aoff, boff;
-  std::vector<size_t> tbl;
   Shape so;
 };
 
@@ -315,16 +299,15 @@ struct CompiledProgram {
   /// and batch sizes of one architecture.
   std::vector<size_t> quant_gemms() const;
 
-  /// Static bytes at a reduced precision: the fp32 footprint (the arena is
-  /// planned in fp32 cells either way) plus the quant sidecar — packed
-  /// weights, per-column compensation and the quantized-activation scratch
-  /// for int8, bf16 weight copies for bf16.
+  /// Static bytes at @p p: the fp32 footprint (the arena is planned in fp32
+  /// cells either way) plus, for int8, the quant sidecar — packed weights,
+  /// per-column compensation and the quantized-activation scratch.
   size_t static_bytes(quant::Precision p) const;
 
   /// Human-readable schedule + buffer reuse map (plan-dump CLI). Each
   /// instruction is tagged with the dtype it executes at under @p p
-  /// (quantizable gemms run i8/bf16, everything else stays f32), and the
-  /// footer reports static bytes for every precision tier.
+  /// (quantizable gemms run i8, everything else stays f32), and the footer
+  /// reports static bytes for both precision tiers.
   void dump(std::ostream& os,
             quant::Precision p = quant::Precision::kFp32) const;
 };
@@ -332,7 +315,8 @@ struct CompiledProgram {
 /// Compiles a trace into a program. @p leaves maps every leaf node the
 /// caller knows about (input, parameters, masks); traced consts are
 /// snapshotted automatically. Returns null and sets @p why when the trace
-/// failed, hit an unknown leaf, or used an op the executor cannot replay.
+/// failed, hit an unknown leaf, or kept an instruction outside the
+/// executor's set after the fusion passes (why names it).
 std::shared_ptr<const CompiledProgram> compile(
     const Tracer& tracer,
     const std::unordered_map<const Node*, LeafBinding>& leaves,

@@ -20,7 +20,6 @@ namespace metadse::tensor::quant {
 const char* to_string(Precision p) {
   switch (p) {
     case Precision::kFp32: return "fp32";
-    case Precision::kBf16: return "bf16";
     case Precision::kInt8: return "int8";
   }
   return "?";
@@ -29,8 +28,6 @@ const char* to_string(Precision p) {
 bool parse_precision(const std::string& s, Precision* out) {
   if (s == "fp32") {
     *out = Precision::kFp32;
-  } else if (s == "bf16") {
-    *out = Precision::kBf16;
   } else if (s == "int8") {
     *out = Precision::kInt8;
   } else {
@@ -45,23 +42,6 @@ thread_local constinit Precision g_precision = Precision::kFp32;
 
 Precision PrecisionMode::mode() { return g_precision; }
 void PrecisionMode::set_mode(Precision p) { g_precision = p; }
-
-// -- bf16 --------------------------------------------------------------------
-
-void bf16_encode(const float* src, size_t n, uint16_t* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = bf16_from_f32(src[i]);
-}
-
-void bf16_decode(const uint16_t* src, size_t n, float* dst) {
-  for (size_t i = 0; i < n; ++i) dst[i] = f32_from_bf16(src[i]);
-}
-
-void bf16_pack_weight(const float* w, size_t K, size_t N, Bf16Weight* out) {
-  out->K = K;
-  out->N = N;
-  out->w.resize(K * N);
-  bf16_encode(w, K * N, out->w.data());
-}
 
 // -- int8 --------------------------------------------------------------------
 
@@ -633,86 +613,6 @@ void gemm_u8s8(const uint8_t* aq, size_t ldq, const QuantizedWeight& w,
     }
     epilogue_row(prow, bias, res != nullptr ? res + m * ldr : nullptr, epi, N);
   }
-}
-
-void gemm_bf16(const float* a, const Bf16Weight& w, const float* bias,
-               const float* res, size_t ldr, int epi, float* o, size_t m0,
-               size_t m1) {
-  const size_t K = w.K;
-  const size_t N = w.N;
-  size_t m = m0;
-#if defined(METADSE_QUANT_AVX512)
-  // 4-row blocks per 16-column tile: each bf16 weight chunk is widened to
-  // fp32 once and feeds four FMA chains. Every output element accumulates in
-  // ascending-k order, so results are partition-independent.
-  const auto widen = [](const uint16_t* p, __mmask16 mk16) {
-    return _mm512_castsi512_ps(_mm512_slli_epi32(
-        _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(mk16, p)), 16));
-  };
-  for (; m + 4 <= m1; m += 4) {
-    const float* ar0 = a + m * K;
-    const float* ar1 = ar0 + K;
-    const float* ar2 = ar1 + K;
-    const float* ar3 = ar2 + K;
-    float* pr0 = o + m * N;
-    for (size_t n = 0; n < N; n += 16) {
-      const size_t wdt = std::min<size_t>(16, N - n);
-      const __mmask16 mk16 =
-          static_cast<__mmask16>(wdt == 16 ? 0xFFFFU : (1U << wdt) - 1U);
-      __m512 a0 = _mm512_setzero_ps();
-      __m512 a1 = _mm512_setzero_ps();
-      __m512 a2 = _mm512_setzero_ps();
-      __m512 a3 = _mm512_setzero_ps();
-      for (size_t k = 0; k < K; ++k) {
-        const __m512 wv = widen(w.w.data() + k * N + n, mk16);
-        a0 = _mm512_fmadd_ps(_mm512_set1_ps(ar0[k]), wv, a0);
-        a1 = _mm512_fmadd_ps(_mm512_set1_ps(ar1[k]), wv, a1);
-        a2 = _mm512_fmadd_ps(_mm512_set1_ps(ar2[k]), wv, a2);
-        a3 = _mm512_fmadd_ps(_mm512_set1_ps(ar3[k]), wv, a3);
-      }
-      _mm512_mask_storeu_ps(pr0 + n, mk16, a0);
-      _mm512_mask_storeu_ps(pr0 + N + n, mk16, a1);
-      _mm512_mask_storeu_ps(pr0 + 2 * N + n, mk16, a2);
-      _mm512_mask_storeu_ps(pr0 + 3 * N + n, mk16, a3);
-    }
-    for (int r = 0; r < 4; ++r) {
-      epilogue_row(pr0 + r * N, bias,
-                   res != nullptr ? res + (m + r) * ldr : nullptr, epi, N);
-    }
-  }
-  for (; m < m1; ++m) {
-    const float* arow = a + m * K;
-    float* prow = o + m * N;
-    for (size_t n = 0; n < N; n += 16) {
-      const size_t wdt = std::min<size_t>(16, N - n);
-      const __mmask16 mk16 =
-          static_cast<__mmask16>(wdt == 16 ? 0xFFFFU : (1U << wdt) - 1U);
-      __m512 acc = _mm512_setzero_ps();
-      for (size_t k = 0; k < K; ++k) {
-        acc = _mm512_fmadd_ps(_mm512_set1_ps(arow[k]),
-                              widen(w.w.data() + k * N + n, mk16), acc);
-      }
-      _mm512_mask_storeu_ps(prow + n, mk16, acc);
-    }
-    epilogue_row(prow, bias, res != nullptr ? res + m * ldr : nullptr, epi, N);
-  }
-#else
-  for (; m < m1; ++m) {
-    const float* arow = a + m * K;
-    float* prow = o + m * N;
-    std::fill(prow, prow + N, 0.0F);
-    // Each output element accumulates in ascending-k order regardless of
-    // this loop nesting, so results are partition-independent.
-    for (size_t k = 0; k < K; ++k) {
-      const float av = arow[k];
-      const uint16_t* wrow = w.w.data() + k * N;
-      for (size_t n = 0; n < N; ++n) {
-        prow[n] += av * f32_from_bf16(wrow[n]);
-      }
-    }
-    epilogue_row(prow, bias, res != nullptr ? res + m * ldr : nullptr, epi, N);
-  }
-#endif
 }
 
 }  // namespace metadse::tensor::quant

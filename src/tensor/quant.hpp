@@ -1,31 +1,28 @@
-// Reduced-precision serving kernels: bf16 storage conversion and per-tensor
-// symmetric int8 quantization with i8×i8→i32 GEMM panels (fp32 dequant
-// epilogue). Opt-in via the thread-local PrecisionMode policy (scoped by
-// PrecisionModeGuard): fp32 stays the default and remains bitwise-governed by
-// the kernels.hpp contract; bf16/int8 trade bitwise equality for throughput
-// under an explicit rank-correlation error contract (DESIGN.md §15).
+// Reduced-precision serving kernels: per-tensor symmetric int8 quantization
+// with i8×i8→i32 GEMM panels (fp32 dequant epilogue). Opt-in via the
+// thread-local PrecisionMode policy (scoped by PrecisionModeGuard): fp32
+// stays the default and remains bitwise-governed by the kernels.hpp
+// contract; int8 trades bitwise equality for throughput under an explicit
+// rank-correlation error contract (DESIGN.md §15).
 //
 // Determinism: the int8 path accumulates in exact int32 arithmetic (order-
-// independent) and the bf16 path keeps fp32 accumulation in a fixed
-// ascending-k order per output element, so both produce identical bits at
-// any thread count — the threads-1/2/8 equivalence discipline survives even
-// though the values differ from fp32.
+// independent), so it produces identical bits at any thread count — the
+// threads-1/2/8 equivalence discipline survives even though the values
+// differ from fp32.
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
 namespace metadse::tensor::quant {
 
-/// Numeric tier of a planned forward. fp32 is the bitwise reference; bf16
-/// stores weights in bfloat16 (fp32 accumulate); int8 runs quantized GEMMs
-/// against a calibrated per-tensor activation scale.
-enum class Precision : uint8_t { kFp32 = 0, kBf16 = 1, kInt8 = 2 };
+/// Numeric tier of a planned forward. fp32 is the bitwise reference; int8
+/// runs quantized GEMMs against a calibrated per-tensor activation scale.
+enum class Precision : uint8_t { kFp32, kInt8 };
 
 const char* to_string(Precision p);
-/// Parses "fp32" / "bf16" / "int8"; returns false on anything else.
+/// Parses "fp32" / "int8"; returns false on anything else.
 bool parse_precision(const std::string& s, Precision* out);
 
 /// Thread-local precision policy consulted by the predict planner; fp32 by
@@ -49,41 +46,6 @@ class PrecisionModeGuard {
  private:
   Precision prev_;
 };
-
-// -- bf16 storage conversion -------------------------------------------------
-
-/// fp32 -> bf16 with round-to-nearest-even; NaNs are quieted so a payload
-/// truncated to zero cannot turn a NaN into Inf.
-inline uint16_t bf16_from_f32(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  if ((bits & 0x7F800000U) == 0x7F800000U && (bits & 0x007FFFFFU) != 0U) {
-    return static_cast<uint16_t>((bits >> 16) | 0x0040U);
-  }
-  const uint32_t rounding = 0x7FFFU + ((bits >> 16) & 1U);
-  return static_cast<uint16_t>((bits + rounding) >> 16);
-}
-
-inline float f32_from_bf16(uint16_t v) {
-  const uint32_t bits = static_cast<uint32_t>(v) << 16;
-  float f;
-  std::memcpy(&f, &bits, sizeof(f));
-  return f;
-}
-
-void bf16_encode(const float* src, size_t n, uint16_t* dst);
-void bf16_decode(const uint16_t* src, size_t n, float* dst);
-
-/// bf16-stored weight matrix, row-major [K, N].
-struct Bf16Weight {
-  size_t K = 0;
-  size_t N = 0;
-  std::vector<uint16_t> w;
-
-  size_t bytes() const { return w.size() * sizeof(uint16_t); }
-};
-
-void bf16_pack_weight(const float* w, size_t K, size_t N, Bf16Weight* out);
 
 // -- int8 quantization -------------------------------------------------------
 
@@ -127,12 +89,6 @@ void quantize_act_u8(const float* a, size_t M, size_t K, float scale,
 void gemm_u8s8(const uint8_t* aq, size_t ldq, const QuantizedWeight& w,
                float dq, const float* bias, const float* res, size_t ldr,
                int epi, float* o, size_t m0, size_t m1);
-
-/// Rows [m0, m1) of O[M, N] = A[M, K] × bf16(W)[K, N], fp32 FMA accumulate
-/// in ascending-k order, same epilogue contract as gemm_u8s8.
-void gemm_bf16(const float* a, const Bf16Weight& w, const float* bias,
-               const float* res, size_t ldr, int epi, float* o, size_t m0,
-               size_t m1);
 
 // -- fast fp32 row kernels (reduced-precision tiers only) --------------------
 //

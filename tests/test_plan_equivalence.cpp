@@ -8,10 +8,14 @@
 // allocation-free (served entirely from the plan's arena).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/chaos.hpp"
@@ -22,7 +26,9 @@
 #include "nn/plan.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/plan.hpp"
 #include "tensor/pool.hpp"
+#include "tensor/quant.hpp"
 #include "tensor/tensor.hpp"
 
 namespace t = metadse::tensor;
@@ -206,6 +212,143 @@ TEST(PlanEquivalence, PaperPredictorPlanFusesMaskedAttention) {
   EXPECT_EQ(key.substr(key.rfind(':')),
             ":m" + std::string(model.layer_count(), '1'))
       << key;
+}
+
+// -- the paper predictor's schedule is pinned -------------------------------
+
+// `metadse plan-dump --batch 128` prints this schedule; pin it so a change to
+// the passes or the executor's instruction set cannot silently reshape the
+// program serving runs. The default config is the paper predictor (nt24,
+// dm32, h4, l2, ff64) without WAM masks, as plan-dump compiles it.
+TEST(PlanEquivalence, PaperPredictorScheduleIsPinned) {
+  RegistryReset reset;
+  t::Rng rng(61);
+  nn::TransformerRegressor model(nn::TransformerConfig{}, rng);
+  std::string why;
+  const auto prog = plan::compile_predict(model, 128, &why);
+  ASSERT_NE(prog, nullptr) << why;
+
+  const std::vector<std::string> want = {
+      "fused_embed",              "layer_norm_affine",
+      "fused_gemm_bias",          "fused_gemm_bias",
+      "fused_gemm_bias",          "fused_attention",
+      "fused_gemm_bias_residual", "layer_norm_affine",
+      "fused_gemm_bias_gelu",     "fused_gemm_bias_residual",
+      "layer_norm_affine",        "fused_gemm_bias",
+      "fused_gemm_bias",          "fused_gemm_bias",
+      "fused_attention",          "fused_gemm_bias_residual",
+      "layer_norm_affine",        "fused_gemm_bias_gelu",
+      "fused_gemm_bias_residual", "layer_norm_affine",
+      "reduce_axis",              "fused_gemm_bias_gelu",
+      "gemm",                     "binary.add"};
+  ASSERT_EQ(prog->instrs.size(), want.size());
+  // Fusion events: a bias+residual gemm is two (bias, then residual).
+  EXPECT_EQ(prog->fused_instrs, 20U);
+
+  // Every gemm the passes left runs at int8; everything else stays fp32.
+  const std::vector<size_t> quant = prog->quant_gemms();
+  EXPECT_EQ(quant, (std::vector<size_t>{2, 3, 4, 6, 8, 9, 11, 12, 13, 15, 17,
+                                        18, 21, 22}));
+  for (auto prec : {metadse::tensor::quant::Precision::kFp32,
+                    metadse::tensor::quant::Precision::kInt8}) {
+    const bool int8 = prec == metadse::tensor::quant::Precision::kInt8;
+    std::ostringstream os;
+    prog->dump(os, prec);
+    std::istringstream lines(os.str());
+    std::string line;
+    std::getline(lines, line);
+    EXPECT_EQ(line, "schedule (24 instrs, 20 fused):");
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_TRUE(std::getline(lines, line)) << "schedule ends at " << i;
+      const bool q =
+          std::find(quant.begin(), quant.end(), i) != quant.end();
+      const std::string head = "  [" + std::to_string(i) + "] " + want[i] +
+                               " {" + (int8 && q ? "i8" : "f32") + "} ";
+      EXPECT_EQ(line.substr(0, head.size()), head) << line;
+    }
+  }
+}
+
+// -- ops outside the executor's set fall back with identical bits ------------
+
+// The executor runs only the instructions above. A trace that keeps anything
+// else declines to compile — an eager op with no instruction poisons the
+// trace, and an instruction the passes did not fuse away fails the check
+// after them — so the caller runs eager.
+TEST(PlanEquivalence, OpsOutsideTheExecutorSetDeclineToCompile) {
+  t::Rng rng(67);
+  auto x = t::Tensor::uniform({4, 8}, rng, -1.0F, 1.0F);
+  auto w = t::Tensor::uniform({8}, rng, -1.0F, 1.0F);
+  const std::unordered_map<const t::Node*, tp::LeafBinding> leaves = {
+      {x.node().get(), {tp::LeafBinding::Kind::kInput, 0}},
+      {w.node().get(), {tp::LeafBinding::Kind::kExternal, 0}}};
+  t::NoGradGuard no_grad;
+  {
+    tp::Tracer tracer;
+    const auto y = t::add(t::relu(x), w);
+    EXPECT_TRUE(tracer.failed());
+    std::string why;
+    EXPECT_EQ(tp::compile(tracer, leaves, y.node().get(), &why), nullptr);
+    EXPECT_NE(why.find("relu"), std::string::npos) << why;
+  }
+  {
+    tp::Tracer tracer;
+    const auto y = t::sub(x, w);
+    EXPECT_FALSE(tracer.failed());
+    std::string why;
+    EXPECT_EQ(tp::compile(tracer, leaves, y.node().get(), &why), nullptr);
+    EXPECT_NE(why.find("binary.sub"), std::string::npos) << why;
+  }
+  // Control: the same shapes through binary.add compile and run bitwise.
+  tp::Tracer tracer;
+  const auto y = t::add(x, w);
+  std::string why;
+  const auto prog = tp::compile(tracer, leaves, y.node().get(), &why);
+  ASSERT_NE(prog, nullptr) << why;
+  tp::ProgramExec exec(prog);
+  exec.bind_external(0, w.data().data());
+  std::vector<float> out(y.data().size());
+  exec.run(x.data().data(), out.data());
+  expect_same_floats(y.data(), out, "planned binary.add vs eager");
+}
+
+// A predictor whose attention the fusion pass cannot take (more tokens than
+// the fused kernel's tile) keeps the unfused head-split permutes and the
+// transposed score gemm, which the executor does not run: the predict runs
+// eager, bit for bit, and counts one fallback.
+TEST(PlanEquivalence, PredictOutsideTheExecutorSetRunsEagerBitwise) {
+  ThreadGuard guard;
+  RegistryReset reset;
+  metadse::set_threads(1);
+  const nn::TransformerConfig cfg{.n_tokens = 72, .d_model = 8, .n_heads = 2,
+                                  .n_layers = 1, .d_ff = 16, .n_outputs = 1};
+  t::Rng rng(71);
+  nn::TransformerRegressor model(cfg, rng);
+  std::string why;
+  EXPECT_EQ(plan::compile_predict(model, 3, &why), nullptr);
+  EXPECT_NE(why.find("outside the plan executor's instruction set"),
+            std::string::npos)
+      << why;
+
+  const auto rows = feature_rows(3, cfg.n_tokens, 73);
+  std::vector<std::vector<float>> eager;
+  {
+    plan::PlanModeGuard off(false);
+    eager = model.predict_batch(rows);
+  }
+  const auto before = plan::PlanRegistry::instance().stats();
+  std::vector<std::vector<float>> planned;
+  {
+    plan::PlanModeGuard on(true);
+    planned = model.predict_batch(rows);
+  }
+  const auto after = plan::PlanRegistry::instance().stats();
+  EXPECT_EQ(after.fallbacks, before.fallbacks + 1);
+  EXPECT_EQ(after.plans_compiled, before.plans_compiled);
+  ASSERT_EQ(eager.size(), planned.size());
+  for (size_t i = 0; i < eager.size(); ++i) {
+    expect_same_floats(eager[i], planned[i], "fallback predict vs eager");
+  }
 }
 
 // -- planned inner steps: tape replay equals the eager loop ------------------

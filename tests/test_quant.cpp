@@ -1,10 +1,10 @@
-// Reduced-precision serving tier (DESIGN.md §15): bf16 conversion semantics
-// (RNE, NaN quieting), int8 weight packing against an exact int32 reference
+// Reduced-precision serving tier (DESIGN.md §15): int8 weight packing
+// against an exact int32 reference
 // GEMM, row-partition and attention-group bitwise invariance (the
 // thread-count determinism claim), the fast fp32 row kernels against eager
 // references, per-precision plan keys, calibration capture + checkpoint
 // round-trip (with corruption rejection), the Spearman rank-correlation
-// error contract across every workload in the suite at bf16 and int8, the
+// error contract across every workload in the suite at int8, the
 // forced-contract-trip fp32 fallback (archive bitwise-identical to a plain
 // fp32 run), ServerStats quant accounting, and served int8 fronts that are
 // byte-identical at threads 1/2/8.
@@ -16,7 +16,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -73,41 +72,6 @@ void expect_near(const std::vector<float>& got, const std::vector<float>& want,
 }
 
 }  // namespace
-
-// -- bf16 conversion ----------------------------------------------------------
-
-TEST(QuantBf16, RoundTripSpecialsAndRounding) {
-  // Values exactly representable in bf16 survive the round trip bitwise.
-  for (float v : {0.0F, -0.0F, 1.0F, -2.5F, 0.15625F, 65280.0F}) {
-    EXPECT_EQ(q::f32_from_bf16(q::bf16_from_f32(v)), v);
-  }
-  // Round-to-nearest-even at the 8-bit mantissa boundary: 1 + 2^-9 is
-  // exactly halfway between 1.0 and 1 + 2^-8 and must round to the even
-  // candidate (1.0); 1 + 3*2^-9 rounds up to 1 + 2^-7.
-  EXPECT_EQ(q::f32_from_bf16(q::bf16_from_f32(1.0F + 0x1.0p-9F)), 1.0F);
-  EXPECT_EQ(q::f32_from_bf16(q::bf16_from_f32(1.0F + 0x3.0p-9F)),
-            1.0F + 0x1.0p-7F);
-  // Infinities pass through; NaNs stay NaN (quieted, never collapse to Inf).
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(q::f32_from_bf16(q::bf16_from_f32(inf)), inf);
-  EXPECT_EQ(q::f32_from_bf16(q::bf16_from_f32(-inf)), -inf);
-  float payload_nan;
-  uint32_t bits = 0x7F800001U;  // signaling NaN whose payload truncates to 0
-  std::memcpy(&payload_nan, &bits, 4);
-  EXPECT_TRUE(std::isnan(q::f32_from_bf16(q::bf16_from_f32(payload_nan))));
-
-  // Bulk encode/decode agrees with the scalar helpers.
-  const auto src = random_vec(257, 11, -8.0F, 8.0F);
-  std::vector<uint16_t> enc(src.size());
-  std::vector<float> dec(src.size());
-  q::bf16_encode(src.data(), src.size(), enc.data());
-  q::bf16_decode(enc.data(), src.size(), dec.data());
-  for (size_t i = 0; i < src.size(); ++i) {
-    EXPECT_EQ(enc[i], q::bf16_from_f32(src[i])) << "element " << i;
-    EXPECT_EQ(dec[i], q::f32_from_bf16(enc[i])) << "element " << i;
-    EXPECT_NEAR(dec[i], src[i], std::fabs(src[i]) / 128.0F + 1e-6F);
-  }
-}
 
 // -- int8 packing and GEMM ----------------------------------------------------
 
@@ -256,40 +220,6 @@ TEST(QuantInt8, GemmRowPartitionInvariance) {
                  split.data(), m0, m1);
   }
   expect_bitwise(split, whole, "row-partitioned gemm_u8s8");
-}
-
-TEST(QuantBf16, GemmMatchesDecodedReferenceAndPartitions) {
-  const size_t M = 21;
-  const size_t K = 32;
-  const size_t N = 19;
-  const auto a = random_vec(M * K, 51, -2.0F, 2.0F);
-  const auto w = random_vec(K * N, 52);
-  const auto bias = random_vec(N, 53);
-  q::Bf16Weight bw;
-  q::bf16_pack_weight(w.data(), K, N, &bw);
-  ASSERT_EQ(bw.bytes(), K * N * 2);
-
-  // fp32 reference over the decoded bf16 weights, ascending-k accumulate.
-  std::vector<float> wd(K * N);
-  q::bf16_decode(bw.w.data(), K * N, wd.data());
-  std::vector<float> ref(M * N);
-  for (size_t m = 0; m < M; ++m) {
-    for (size_t n = 0; n < N; ++n) {
-      float acc = 0.0F;
-      for (size_t k = 0; k < K; ++k) {
-        acc = std::fma(a[m * K + k], wd[k * N + n], acc);
-      }
-      ref[m * N + n] = acc + bias[n];
-    }
-  }
-  std::vector<float> out(M * N);
-  q::gemm_bf16(a.data(), bw, bias.data(), nullptr, N, 1, out.data(), 0, M);
-  expect_near(out, ref, 1e-5F, "gemm_bf16 epi1");
-
-  std::vector<float> split(M * N, -1.0F);
-  q::gemm_bf16(a.data(), bw, bias.data(), nullptr, N, 1, split.data(), 0, 7);
-  q::gemm_bf16(a.data(), bw, bias.data(), nullptr, N, 1, split.data(), 7, 21);
-  expect_bitwise(split, out, "row-partitioned gemm_bf16");
 }
 
 // -- fast fp32 row kernels ----------------------------------------------------
@@ -450,18 +380,33 @@ TEST(QuantPlan, PerPrecisionPlanKeysAreDistinct) {
   t::Rng rng(5);
   nn::TransformerRegressor model(small_cfg(), rng);
   const auto fp32 = nn::plan::predict_plan_key(model, 32);
-  const auto bf16 =
-      nn::plan::predict_plan_key(model, 32, q::Precision::kBf16);
   const auto int8 =
       nn::plan::predict_plan_key(model, 32, q::Precision::kInt8);
   // fp32 keys carry no precision suffix.
   EXPECT_EQ(fp32.find(":q"), std::string::npos) << fp32;
-  EXPECT_NE(bf16.find(":q"), std::string::npos) << bf16;
   EXPECT_NE(int8.find(":q"), std::string::npos) << int8;
-  EXPECT_NE(bf16, int8);
-  EXPECT_NE(fp32, bf16);
+  EXPECT_NE(fp32, int8);
   // Keys separate by batch as before.
   EXPECT_NE(int8, nn::plan::predict_plan_key(model, 64, q::Precision::kInt8));
+}
+
+TEST(QuantPlan, ParsePrecisionAcceptsOnlyTheTwoTiers) {
+  q::Precision p = q::Precision::kInt8;
+  ASSERT_TRUE(q::parse_precision("fp32", &p));
+  EXPECT_EQ(p, q::Precision::kFp32);
+  ASSERT_TRUE(q::parse_precision("int8", &p));
+  EXPECT_EQ(p, q::Precision::kInt8);
+  // Round trip through the names the CLI and reports print.
+  for (auto prec : {q::Precision::kFp32, q::Precision::kInt8}) {
+    ASSERT_TRUE(q::parse_precision(q::to_string(prec), &p));
+    EXPECT_EQ(p, prec);
+  }
+  // Anything else is rejected and leaves the output untouched.
+  for (const char* bad : {"bf16", "fp16", "INT8", ""}) {
+    p = q::Precision::kInt8;
+    EXPECT_FALSE(q::parse_precision(bad, &p)) << bad;
+    EXPECT_EQ(p, q::Precision::kInt8) << bad;
+  }
 }
 
 TEST(QuantCalib, CaptureSerializeRoundTripAndCorruption) {
@@ -583,15 +528,11 @@ TEST(QuantContractSuite, SpearmanHoldsAcrossAllWorkloads) {
     const auto support = support_of(fw, wl.name());
     const auto predictor = fw.adapt_to(support);
     ASSERT_TRUE(predictor.model->has_quant_calibration()) << wl.name();
-    for (auto prec : {q::Precision::kBf16, q::Precision::kInt8}) {
-      const auto contract =
-          core::check_quant_contract(predictor, fw.space(), prec);
-      EXPECT_TRUE(contract.passed)
-          << wl.name() << " " << q::to_string(prec) << " rho=" << contract.rho;
-      EXPECT_GE(contract.rho, 0.99)
-          << wl.name() << " " << q::to_string(prec);
-      EXPECT_EQ(contract.n_points, 128U);
-    }
+    const auto contract = core::check_quant_contract(predictor, fw.space(),
+                                                     q::Precision::kInt8);
+    EXPECT_TRUE(contract.passed) << wl.name() << " rho=" << contract.rho;
+    EXPECT_GE(contract.rho, 0.99) << wl.name();
+    EXPECT_EQ(contract.n_points, 128U);
     // fp32 trivially passes with perfect rank agreement.
     const auto fp32 = core::check_quant_contract(predictor, fw.space(),
                                                  q::Precision::kFp32);

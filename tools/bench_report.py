@@ -21,8 +21,15 @@ counterpart and records the speedup:
   - the training fast path (BM_MamlInnerStep, BM_MamlAdaptClone,
     BM_MamlEpochThreadsSweep) vs the same benchmark in the baseline run
 
+Every report records the project build's host context (build type,
+compiler, -march=native, thread count, nproc) that bench_micro_engine adds
+to the google-benchmark context; the library's own `library_build_type` and
+`num_cpus` describe the benchmark library, not this project.
+
 --diff compares AFTER.json against a previously committed BENCH_engine.json
-and prints a per-benchmark regression table. By default it is warn-only:
+and prints a per-benchmark regression table. It exits nonzero at once when
+the two were measured on hosts with a different nproc or build type: such
+numbers are not comparable. Otherwise it is warn-only by default:
 shared runners are far too noisy to gate on, so a slowdown prints a WARN
 line and the exit code stays 0. Pass --fail-on-regress to turn any WARN
 into a nonzero exit — for quiet dedicated machines where a >15% slowdown
@@ -64,9 +71,6 @@ QUANT_PAIRS = {
     "BM_TransformerPredictBatchQuantInt8/1": "BM_TransformerPredictBatchNoGrad/1",
     "BM_TransformerPredictBatchQuantInt8/16": "BM_TransformerPredictBatchNoGrad/16",
     "BM_TransformerPredictBatchQuantInt8/128": "BM_TransformerPredictBatchNoGrad/128",
-    "BM_TransformerPredictBatchQuantBf16/1": "BM_TransformerPredictBatchNoGrad/1",
-    "BM_TransformerPredictBatchQuantBf16/16": "BM_TransformerPredictBatchNoGrad/16",
-    "BM_TransformerPredictBatchQuantBf16/128": "BM_TransformerPredictBatchNoGrad/128",
 }
 HEADLINE_QUANT = "BM_TransformerPredictBatchQuantInt8/128"
 
@@ -85,6 +89,18 @@ THREAD_SCALING = (
 # --diff warns when a benchmark slows down by more than this factor.
 DIFF_WARN_RATIO = 1.15
 
+# Project host-context fields bench_micro_engine adds to the JSON context
+# (google-benchmark custom context key -> report key).
+HOST_FIELDS = {
+    "metadse_build_type": "build_type",
+    "metadse_compiler": "compiler",
+    "metadse_march_native": "march_native",
+    "metadse_threads": "threads",
+    "metadse_nproc": "nproc",
+}
+# --diff refuses to compare reports whose host differs in these fields.
+HOST_MUST_MATCH = ("nproc", "build_type")
+
 
 def load_times(path):
     """name -> real_time in ns (iteration aggregates only)."""
@@ -96,6 +112,17 @@ def load_times(path):
             continue
         times[b["name"]] = float(b["real_time"])
     return times, doc.get("context", {})
+
+
+def host_of(context):
+    """The project build's host context from a google-benchmark context
+    (custom context values are strings; counts become ints)."""
+    host = {}
+    for field, key in HOST_FIELDS.items():
+        if field in context:
+            value = context[field]
+            host[key] = int(value) if value.isdigit() else value
+    return host
 
 
 def main(argv=None):
@@ -115,17 +142,28 @@ def main(argv=None):
     after, context = load_times(args.after)
     if not after:
         sys.exit(f"{args.after}: no iteration benchmarks found")
+    host = host_of(context)
     committed = None
     if args.diff:
         # Load before writing --output: the two paths are usually the same
         # file (the committed report being regenerated).
         with open(args.diff) as f:
-            committed = json.load(f).get("benchmarks_ns", {})
+            committed_doc = json.load(f)
+        committed = committed_doc.get("benchmarks_ns", {})
+        committed_host = committed_doc.get("host", {})
+        for key in HOST_MUST_MATCH:
+            now = host.get(key, "unknown")
+            then = committed_host.get(key, "unknown")
+            if now != then:
+                sys.exit(f"--diff: {key} differs ({now} here, {then} in "
+                         f"{args.diff}); numbers from different hosts are "
+                         f"not comparable")
     before, before_context = ({}, {})
     if args.before:
         before, before_context = load_times(args.before)
 
     report = {
+        "host": host,
         "context": {
             "after": context,
             "before": before_context or None,

@@ -161,8 +161,7 @@ tensor::quant::Precision precision_from(const Args& args) {
   const std::string s = args.str("precision", "fp32");
   tensor::quant::Precision p = tensor::quant::Precision::kFp32;
   if (!tensor::quant::parse_precision(s, &p)) {
-    throw UsageError("--precision must be fp32, bf16, or int8 (got '" + s +
-                     "')");
+    throw UsageError("--precision must be fp32 or int8 (got '" + s + "')");
   }
   return p;
 }
@@ -953,10 +952,10 @@ void usage() {
       "           containment: --eval-deadline-ms D --eval-retries R\n"
       "                     --degrade-policy ladder|skip|abort\n"
       "                     --eval-sleep-ms S (chaos drills)\n"
-      "           precision: --precision fp32|bf16|int8  (quantized predict\n"
-      "                     tier; int8 writes <ckpt>.calib and both tiers\n"
-      "                     fall back to fp32 if the rank-correlation error\n"
-      "                     contract trips — DESIGN.md §15)\n"
+      "           precision: --precision fp32|int8  (quantized predict\n"
+      "                     tier; int8 writes <ckpt>.calib and falls back\n"
+      "                     to fp32 if the rank-correlation error contract\n"
+      "                     trips — DESIGN.md §15)\n"
       "  plan-dump [--batch B --precision P]\n"
       "                     compiled predict-plan schedule, per-instruction\n"
       "                     dtypes, buffer reuse map and static footprint\n"
@@ -970,7 +969,7 @@ void usage() {
       "                     --coalesce-max-batch B --coalesce-wait-ticks T\n"
       "                     --journal-compact N --rebuild-limit L\n"
       "                     --rebuild-window-ms W --chaos-drill\n"
-      "                     --precision fp32|bf16|int8]\n"
+      "                     --precision fp32|int8]\n"
       "           (multi-session serving; fronts publish to\n"
       "            <journal-dir>/front_<id>.txt; exit 3 = interrupted by\n"
       "            signal, journals flushed, rerun with --resume;\n"
