@@ -22,26 +22,14 @@
 //   overload_4x  arrival past what degradation can absorb; the shed-oldest
 //                and deadline-at-dequeue paths carry the excess
 //
-// Four coalescing scenarios then model predict-bound sessions: every
-// surrogate forward costs a fixed launch overhead plus a per-point charge on
-// one serial model lane (the inline-scheduled fused predictor). The
-// *_coalesce_off arms pay the launch per 4-row call; the *_coalesce_on arms
-// route the same calls through a shared BatchCoalescer, which amortizes the
-// launch across sessions — BENCH_serve.json records p50/p99 and the fused
-// GEMM-size ratio (mean fused batch points / one session's rows-per-call).
-//
 // Exit is nonzero when any scenario violates the accounting invariant
-// (submitted == every terminal bucket summed), overflows its queue bound, or
-// — for the 2x coalescing arm — fails to fuse more than one session's worth
-// of rows per batch on average.
+// (submitted == every terminal bucket summed) or overflows its queue bound.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <future>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,7 +38,6 @@
 
 #include "core/parallel.hpp"
 #include "explore/guarded.hpp"
-#include "serve/coalesce.hpp"
 #include "serve/server.hpp"
 
 using namespace metadse;
@@ -93,85 +80,6 @@ serve::ExecResult synthetic_session(const serve::SessionRequest& request,
   return out;
 }
 
-// -- predict-bound sessions for the coalescing scenarios ----------------------
-
-constexpr size_t kPredictRounds = 4;    ///< surrogate calls per session
-constexpr size_t kRowsPerCall = 4;      ///< rows per surrogate call
-constexpr size_t kLaunchUs = 2000;      ///< fixed cost per fused forward
-constexpr size_t kPerPointUs = 10;      ///< marginal cost per row
-
-/// One serial model lane: the fused predictor runs the inline schedule, so
-/// every forward — coalesced or not — funnels through one mutex and costs
-/// launch + per-point. Coalescing wins exactly by amortizing the launch
-/// across sessions riding the same fused call.
-struct PredictLane {
-  std::mutex m;
-
-  std::vector<float> run(const serve::BatchCoalescer::Rows& rows) {
-    std::lock_guard<std::mutex> lk(m);
-    std::this_thread::sleep_for(std::chrono::microseconds(
-        kLaunchUs + kPerPointUs * rows.size()));
-    std::vector<float> out;
-    out.reserve(rows.size());
-    for (const auto& r : rows) {
-      float acc = 0.0F;
-      for (float v : r) acc = acc * 2.0F + v;
-      out.push_back(acc);
-    }
-    return out;
-  }
-};
-
-/// A predict-bound session: kPredictRounds surrogate calls of kRowsPerCall
-/// rows each, through the coalescer when one is wired in. Honors the same
-/// cooperative contract as the sleeper — budget gone mid-wait aborts the
-/// session without perturbing the batches other sessions ride in.
-serve::ExecResult predict_session(const serve::SessionRequest& request,
-                                  const serve::ExecContext& ctx,
-                                  PredictLane& lane,
-                                  serve::BatchCoalescer* coal) {
-  serve::ExecResult out;
-  size_t rounds = kPredictRounds;
-  if (ctx.start_level == explore::DegradeLevel::kBaseline) {
-    rounds = 1;  // the cheap rung skips most surrogate calls
-    out.degraded = true;
-  }
-  const auto wake = [&ctx] {
-    return ctx.budget->cancelled() || ctx.budget->exhausted();
-  };
-  for (size_t round = 0; round < rounds; ++round) {
-    if (wake()) {
-      throw explore::ExplorationAborted("predict session aborted: budget gone");
-    }
-    if (ctx.stop_requested && ctx.stop_requested()) {
-      throw explore::StopRequested("predict session stopped");
-    }
-    serve::BatchCoalescer::Rows rows(kRowsPerCall);
-    for (size_t k = 0; k < kRowsPerCall; ++k) {
-      rows[k] = {static_cast<float>(request.id), static_cast<float>(round),
-                 static_cast<float>(k)};
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    try {
-      if (coal != nullptr) {
-        coal->predict(request.id, std::move(rows), wake);
-      } else {
-        lane.run(rows);
-      }
-    } catch (const serve::CoalesceCancelled&) {
-      throw explore::ExplorationAborted(
-          "predict session aborted: budget gone while waiting in the "
-          "coalescer");
-    }
-    // Wait-in-coalescer is part of the attempt's wall-clock: charged.
-    ctx.budget->charge(static_cast<size_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
-  }
-  return out;
-}
-
 struct ScenarioResult {
   std::string name;
   serve::ServerStats stats;
@@ -185,9 +93,6 @@ struct ScenarioResult {
   double offered_per_s = 0.0;      ///< achieved submit rate
   double generator_lag_p95_ms = 0.0;
   size_t queue_capacity = 0;
-  bool coalesce_on = false;
-  double mean_batch_points = 0.0;  ///< mean fused GEMM rows (off: per-call)
-  double gemm_size_ratio = 0.0;    ///< mean_batch_points / kRowsPerCall
   bool invariant_ok = false;
 };
 
@@ -204,12 +109,8 @@ double percentile(std::vector<double>& v, double p) {
 ScenarioResult run_scenario(const std::string& name,
                             const serve::ServeOptions& options,
                             size_t sessions, size_t arrival_us,
-                            serve::SessionExecutor executor,
-                            serve::BatchCoalescer* coal = nullptr) {
+                            serve::SessionExecutor executor) {
   serve::ServerCore server(options, std::move(executor));
-  if (coal != nullptr) {
-    server.set_coalesce_stats([coal] { return coal->stats(); });
-  }
   std::vector<std::future<serve::SessionResult>> futures;
   futures.reserve(sessions);
   std::vector<double> lag_ms;
@@ -273,43 +174,7 @@ ScenarioResult run_scenario(const std::string& name,
   r.degraded_fraction =
       s.ok > 0 ? static_cast<double>(s.degraded) / static_cast<double>(s.ok)
                : 0.0;
-  if (coal != nullptr) {
-    r.coalesce_on = true;
-    const serve::CoalesceStats cs = coal->stats();
-    r.mean_batch_points = cs.mean_batch_points();
-  } else {
-    r.mean_batch_points = static_cast<double>(kRowsPerCall);
-  }
-  r.gemm_size_ratio =
-      r.mean_batch_points / static_cast<double>(kRowsPerCall);
   return r;
-}
-
-/// One coalescing arm: predict-bound sessions against a fresh model lane,
-/// with or without a shared cross-session coalescer in front of it.
-ScenarioResult run_coalesce_scenario(const std::string& name,
-                                     const serve::ServeOptions& options,
-                                     size_t sessions, size_t arrival_us,
-                                     bool coalesce_on) {
-  PredictLane lane;
-  std::unique_ptr<serve::BatchCoalescer> coal;
-  if (coalesce_on) {
-    serve::CoalesceOptions copts;
-    copts.max_batch = 64;
-    copts.wait_ticks = 2;
-    copts.tick_ms = 1;
-    coal = std::make_unique<serve::BatchCoalescer>(
-        copts,
-        [&lane](const serve::BatchCoalescer::Rows& rows) {
-          return lane.run(rows);
-        });
-  }
-  auto executor = [&lane, c = coal.get()](const serve::SessionRequest& req,
-                                          const serve::ExecContext& ctx) {
-    return predict_session(req, ctx, lane, c);
-  };
-  return run_scenario(name, options, sessions, arrival_us, executor,
-                      coal.get());
 }
 
 /// Host context first, so a reader sees where the numbers came from before
@@ -354,11 +219,6 @@ void write_json(std::FILE* f, const std::vector<ScenarioResult>& results) {
                  "      \"p99_ms\": %.1f,\n"
                  "      \"shed_rate\": %.4f,\n"
                  "      \"degraded_fraction\": %.4f,\n"
-                 "      \"coalesce_on\": %s,\n"
-                 "      \"coalesced_batches\": %zu,\n"
-                 "      \"coalesced_points\": %zu,\n"
-                 "      \"mean_batch_points\": %.2f,\n"
-                 "      \"gemm_size_ratio\": %.2f,\n"
                  "      \"invariant_ok\": %s\n"
                  "    }%s\n",
                  r.name.c_str(), s.submitted, s.ok, s.rejected, s.shed,
@@ -367,8 +227,6 @@ void write_json(std::FILE* f, const std::vector<ScenarioResult>& results) {
                  r.target_per_s, r.offered_per_s, r.generator_lag_p95_ms,
                  r.wall_s, r.throughput_per_s, r.p50_ms, r.p99_ms,
                  r.shed_rate, r.degraded_fraction,
-                 r.coalesce_on ? "true" : "false", s.coalesced_batches,
-                 s.coalesced_points, r.mean_batch_points, r.gemm_size_ratio,
                  r.invariant_ok ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
   }
@@ -428,22 +286,6 @@ int main(int argc, char** argv) {
   results.push_back(run_scenario("overload_4x", spike, sessions, 90,
                                  synthetic_session));
 
-  // Coalescing arms: predict-bound sessions against one serial model lane.
-  // Uncoalesced capacity is ~1/(launch + 4 rows) calls per lane-second, so
-  // 4100us arrival is ~2x that and 2050us is ~4x. The _on arms see the
-  // exact same traffic; the coalescer amortizes the launch across sessions.
-  const size_t coalesce_sessions = std::min<size_t>(sessions, 600);
-  serve::ServeOptions fused = overload;
-  fused.session_deadline_ms = 400;
-  results.push_back(run_coalesce_scenario("overload_2x_coalesce_off", fused,
-                                          coalesce_sessions, 4100, false));
-  results.push_back(run_coalesce_scenario("overload_2x_coalesce_on", fused,
-                                          coalesce_sessions, 4100, true));
-  results.push_back(run_coalesce_scenario("overload_4x_coalesce_off", fused,
-                                          coalesce_sessions, 2050, false));
-  results.push_back(run_coalesce_scenario("overload_4x_coalesce_on", fused,
-                                          coalesce_sessions, 2050, true));
-
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_serve: cannot write %s\n", out.c_str());
@@ -455,23 +297,15 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const auto& r : results) {
     std::printf(
-        "%-24s %zu sessions in %.2fs (offered %.0f/s of %.0f/s, lag p95 "
+        "%-12s %zu sessions in %.2fs (offered %.0f/s of %.0f/s, lag p95 "
         "%.2fms): %.0f ok/s, p50 %.0fms p99 %.0fms, "
-        "shed %.1f%%, degraded %.1f%%, queue high water %zu/%zu, "
-        "gemm x%.1f%s\n",
+        "shed %.1f%%, degraded %.1f%%, queue high water %zu/%zu%s\n",
         r.name.c_str(), r.stats.submitted, r.wall_s, r.offered_per_s,
         r.target_per_s, r.generator_lag_p95_ms, r.throughput_per_s,
         r.p50_ms, r.p99_ms, 100.0 * r.shed_rate, 100.0 * r.degraded_fraction,
-        r.stats.queue_high_water, r.queue_capacity, r.gemm_size_ratio,
+        r.stats.queue_high_water, r.queue_capacity,
         r.invariant_ok ? "" : "  INVARIANT VIOLATED");
     ok = ok && r.invariant_ok;
-    if (r.coalesce_on && r.name.find("overload_2x") != std::string::npos &&
-        r.mean_batch_points <= static_cast<double>(kRowsPerCall)) {
-      std::printf("%-24s FUSION TOO SMALL: mean batch %.2f points <= one "
-                  "session's %zu\n",
-                  r.name.c_str(), r.mean_batch_points, kRowsPerCall);
-      ok = false;
-    }
   }
   std::printf("wrote %s\n", out.c_str());
   return ok ? 0 : 1;

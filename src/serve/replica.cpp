@@ -4,7 +4,11 @@
 
 namespace metadse::serve {
 
-ReplicaPool::ReplicaPool(size_t n) : slots_(n) {
+ReplicaPool::ReplicaPool(size_t n, size_t rebuild_limit,
+                         size_t rebuild_window_ms)
+    : rebuild_limit_(rebuild_limit),
+      rebuild_window_(std::chrono::milliseconds(rebuild_window_ms)),
+      slots_(n) {
   if (n == 0) {
     throw std::invalid_argument("ReplicaPool: need at least one replica");
   }
@@ -20,17 +24,13 @@ std::optional<ReplicaPool::Lease> ReplicaPool::acquire(
       Slot& s = slots_[i];
       if (s.state == SlotState::kIdle) {
         s.state = SlotState::kBusy;
-        s.busy_since = std::chrono::steady_clock::now();
+        s.busy_since = Clock::now();
         rr_ = (i + 1) % slots_.size();
-        return Lease(this, i);
+        return Lease(this, i, ++s.seq);
       }
     }
     // No point waiting on a pool that can never serve again.
-    bool any_alive = false;
-    for (const Slot& s : slots_) {
-      if (s.state != SlotState::kQuarantined) any_alive = true;
-    }
-    if (!any_alive) return std::nullopt;
+    if (quarantined_ == slots_.size()) return std::nullopt;
     if (abort && abort()) return std::nullopt;
     // Timed wait so the abort probe is polled even if no release ever
     // arrives (e.g. the whole pool is wedged during shutdown).
@@ -38,87 +38,51 @@ std::optional<ReplicaPool::Lease> ReplicaPool::acquire(
   }
 }
 
+bool ReplicaPool::breaker_trips(Slot& s) {
+  if (rebuild_limit_ == 0) return false;
+  const auto now = Clock::now();
+  std::erase_if(s.readmits, [&](auto t) { return now - t > rebuild_window_; });
+  if (s.readmits.size() >= rebuild_limit_) return true;
+  s.readmits.push_back(now);
+  return false;
+}
+
 void ReplicaPool::release(size_t id) {
-  bool parked = false;
+  bool quarantined = false;
   {
     std::lock_guard<std::mutex> lk(m_);
     Slot& s = slots_[id];
-    if (s.state == SlotState::kCondemnedBusy) {
-      s.state = SlotState::kAwaitingRebuild;
-      parked = true;
-    } else {
-      s.state = SlotState::kIdle;
+    const bool condemned = s.state == SlotState::kCondemned;
+    s.state = SlotState::kIdle;
+    if (condemned) {
+      // A slot that keeps dying faster than the window allows is not worth
+      // readmitting forever.
+      quarantined = breaker_trips(s);
+      if (quarantined) {
+        s.state = SlotState::kQuarantined;
+        ++quarantined_;
+      } else {
+        ++readmitted_;
+      }
     }
   }
-  if (parked) {
-    rebuild_cv_.notify_one();
+  if (quarantined) {
+    // Waiters must re-check: if this was the last live slot, acquire() now
+    // fails fast instead of blocking forever.
+    free_cv_.notify_all();
   } else {
     free_cv_.notify_one();
   }
 }
 
-bool ReplicaPool::condemn(size_t id) {
-  bool parked = false;
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    if (id >= slots_.size()) return false;
-    Slot& s = slots_[id];
-    switch (s.state) {
-      case SlotState::kBusy:
-        s.state = SlotState::kCondemnedBusy;
-        break;
-      case SlotState::kIdle:
-        s.state = SlotState::kAwaitingRebuild;
-        parked = true;
-        break;
-      default:
-        return false;  // already condemned, rebuilding, or quarantined
-    }
-  }
-  if (parked) rebuild_cv_.notify_one();
+bool ReplicaPool::condemn(size_t id, uint64_t seq) {
+  std::lock_guard<std::mutex> lk(m_);
+  if (id >= slots_.size()) return false;
+  Slot& s = slots_[id];
+  if (s.state != SlotState::kBusy || s.seq != seq) return false;
+  s.state = SlotState::kCondemned;
+  ++condemned_;
   return true;
-}
-
-std::optional<size_t> ReplicaPool::take_for_rebuild(
-    const std::function<bool()>& abort) {
-  std::unique_lock<std::mutex> lk(m_);
-  for (;;) {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].state == SlotState::kAwaitingRebuild) {
-        slots_[i].state = SlotState::kRebuilding;
-        return i;
-      }
-    }
-    if (abort && abort()) return std::nullopt;
-    rebuild_cv_.wait_for(lk, std::chrono::milliseconds(10));
-  }
-}
-
-void ReplicaPool::readmit(size_t id) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    Slot& s = slots_.at(id);
-    if (s.state != SlotState::kRebuilding) {
-      throw std::logic_error("ReplicaPool: readmit of a slot not rebuilding");
-    }
-    s.state = SlotState::kIdle;
-  }
-  free_cv_.notify_one();
-}
-
-void ReplicaPool::quarantine(size_t id) {
-  {
-    std::lock_guard<std::mutex> lk(m_);
-    Slot& s = slots_.at(id);
-    if (s.state != SlotState::kRebuilding) {
-      throw std::logic_error(
-          "ReplicaPool: quarantine of a slot not rebuilding");
-    }
-    s.state = SlotState::kQuarantined;
-  }
-  // Waiters must re-check: if this was the last live slot, acquire() now
-  // fails fast instead of blocking forever.
-  free_cv_.notify_all();
 }
 
 ReplicaPool::SlotState ReplicaPool::state(size_t id) const {
@@ -126,46 +90,26 @@ ReplicaPool::SlotState ReplicaPool::state(size_t id) const {
   return slots_.at(id).state;
 }
 
-bool ReplicaPool::healthy(size_t id) const {
-  std::lock_guard<std::mutex> lk(m_);
-  if (id >= slots_.size()) return false;
-  const SlotState s = slots_[id].state;
-  return s == SlotState::kIdle || s == SlotState::kBusy;
-}
-
 bool ReplicaPool::all_quarantined() const {
   std::lock_guard<std::mutex> lk(m_);
-  for (const Slot& s : slots_) {
-    if (s.state != SlotState::kQuarantined) return false;
-  }
-  return true;
+  return quarantined_ == slots_.size();
 }
 
-size_t ReplicaPool::quarantined_count() const {
+ReplicaPool::Counters ReplicaPool::counters() const {
   std::lock_guard<std::mutex> lk(m_);
-  size_t n = 0;
+  Counters c;
+  c.condemned = condemned_;
+  c.readmitted = readmitted_;
+  c.quarantined = quarantined_;
   for (const Slot& s : slots_) {
-    if (s.state == SlotState::kQuarantined) ++n;
+    if (s.state == SlotState::kCondemned) ++c.pending;
   }
-  return n;
-}
-
-size_t ReplicaPool::pending_rebuilds() const {
-  std::lock_guard<std::mutex> lk(m_);
-  size_t n = 0;
-  for (const Slot& s : slots_) {
-    if (s.state == SlotState::kCondemnedBusy ||
-        s.state == SlotState::kAwaitingRebuild ||
-        s.state == SlotState::kRebuilding) {
-      ++n;
-    }
-  }
-  return n;
+  return c;
 }
 
 std::vector<ReplicaPool::BusyInfo> ReplicaPool::busy_slots() const {
   std::lock_guard<std::mutex> lk(m_);
-  const auto now = std::chrono::steady_clock::now();
+  const auto now = Clock::now();
   std::vector<BusyInfo> out;
   for (size_t i = 0; i < slots_.size(); ++i) {
     const Slot& s = slots_[i];
@@ -173,7 +117,7 @@ std::vector<ReplicaPool::BusyInfo> ReplicaPool::busy_slots() const {
     const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                         now - s.busy_since)
                         .count();
-    out.push_back({i, static_cast<size_t>(ms)});
+    out.push_back({i, s.seq, static_cast<size_t>(ms)});
   }
   return out;
 }

@@ -4,18 +4,21 @@
 // take the first free idle slot, and only block when every dispatchable
 // slot is busy.
 //
-// Fault domain (DESIGN.md §14): a slot that misbehaves — wedged past the
-// watchdog threshold, or killed by an executor fault — is *condemned*. A
-// condemned slot leaves the dispatch rotation and, once its current lease
-// (if any) is released, parks in kAwaitingRebuild for the supervisor, which
-// takes it (kRebuilding), rebuilds the replica, and either readmits it
-// (kIdle) or quarantines it permanently (kQuarantined). acquire() fails
-// fast — instead of blocking forever — once every slot is quarantined.
+// Fault domain (DESIGN.md §14): every slot reads the workload's one shared
+// adapted model, so a slot owns no state and has nothing to rebuild. A lease
+// that misbehaves — wedged past the watchdog threshold, or killed by an
+// executor fault — is *condemned* (kCondemned). When that lease ends the
+// slot is resolved inline, under the pool mutex: it is readmitted (kIdle),
+// or — once it was readmitted replica_rebuild_limit times within
+// replica_rebuild_window_ms — quarantined permanently (kQuarantined).
+// acquire() fails fast, instead of blocking forever, once every slot is
+// quarantined.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -27,24 +30,28 @@ class ReplicaPool {
  public:
   /// Lifecycle of one replica slot.
   enum class SlotState {
-    kIdle,            ///< dispatchable
-    kBusy,            ///< leased to a session
-    kCondemnedBusy,   ///< condemned mid-session; parks when the lease ends
-    kAwaitingRebuild, ///< condemned and free; waiting for the supervisor
-    kRebuilding,      ///< the supervisor is rebuilding the replica
-    kQuarantined,     ///< permanently out of rotation
+    kIdle,         ///< dispatchable
+    kBusy,         ///< leased to a session
+    kCondemned,    ///< condemned while leased; resolved when the lease ends
+    kQuarantined,  ///< permanently out of rotation
   };
 
-  explicit ReplicaPool(size_t n);
+  /// @p rebuild_limit / @p rebuild_window_ms are the quarantine circuit
+  /// breaker (ServeOptions::replica_rebuild_limit/_window_ms): a slot
+  /// readmitted that many times within the window is quarantined at its
+  /// next condemned release. A limit of 0 never quarantines.
+  explicit ReplicaPool(size_t n, size_t rebuild_limit = 0,
+                       size_t rebuild_window_ms = 60000);
 
   ReplicaPool(const ReplicaPool&) = delete;
   ReplicaPool& operator=(const ReplicaPool&) = delete;
 
   /// Exclusive hold on one replica slot; releasing wakes one waiter (or
-  /// hands a condemned slot to the supervisor).
+  /// resolves a condemned slot).
   class Lease {
    public:
-    Lease(Lease&& other) noexcept : pool_(other.pool_), id_(other.id_) {
+    Lease(Lease&& other) noexcept
+        : pool_(other.pool_), id_(other.id_), seq_(other.seq_) {
       other.pool_ = nullptr;
     }
     Lease& operator=(Lease&&) = delete;
@@ -54,12 +61,17 @@ class ReplicaPool {
       if (pool_ != nullptr) pool_->release(id_);
     }
     size_t id() const { return id_; }
+    /// Per-slot lease sequence number: tells this lease apart from later
+    /// leases of the same slot.
+    uint64_t seq() const { return seq_; }
 
    private:
     friend class ReplicaPool;
-    Lease(ReplicaPool* pool, size_t id) : pool_(pool), id_(id) {}
+    Lease(ReplicaPool* pool, size_t id, uint64_t seq)
+        : pool_(pool), id_(id), seq_(seq) {}
     ReplicaPool* pool_;
     size_t id_;
+    uint64_t seq_;
   };
 
   /// Leases a free idle slot, blocking while none is available. Polls
@@ -69,58 +81,64 @@ class ReplicaPool {
   /// serve again; distinguish via all_quarantined()).
   std::optional<Lease> acquire(const std::function<bool()>& abort = {});
 
-  /// Removes @p id from dispatch: kBusy -> kCondemnedBusy (it parks for the
-  /// supervisor when its lease ends), kIdle -> kAwaitingRebuild (parked
-  /// right away). Returns true when this call made the transition, so the
-  /// caller can count condemnations exactly once; slots already condemned,
-  /// rebuilding, or quarantined return false.
-  bool condemn(size_t id);
-
-  /// Supervisor intake: blocks until a slot reaches kAwaitingRebuild, moves
-  /// it to kRebuilding and returns its id. Polls @p abort (when set) and
-  /// returns nullopt once it reports true (shutdown).
-  std::optional<size_t> take_for_rebuild(const std::function<bool()>& abort);
-
-  /// kRebuilding -> kIdle: the rebuilt replica rejoins the rotation.
-  void readmit(size_t id);
-
-  /// kRebuilding -> kQuarantined: permanently out of rotation.
-  void quarantine(size_t id);
+  /// Condemns lease @p seq of slot @p id: kBusy -> kCondemned, resolved when
+  /// that lease ends. Only the matching, still-held lease can be condemned —
+  /// a slot whose lease has ended is no longer wedged, and a later lease of
+  /// the same slot is a different session. Returns true when this call made
+  /// the transition, so condemnations are counted exactly once.
+  bool condemn(size_t id, uint64_t seq);
 
   SlotState state(size_t id) const;
-  /// Dispatchable-or-serving (kIdle or kBusy) — the pre-fault notion of a
-  /// healthy slot.
-  bool healthy(size_t id) const;
   bool all_quarantined() const;
-  size_t quarantined_count() const;
-  /// Slots condemned but not yet readmitted or quarantined (kCondemnedBusy,
-  /// kAwaitingRebuild, or kRebuilding) — the in-flight part of the
-  /// condemned == rebuilt + quarantined + pending accounting.
-  size_t pending_rebuilds() const;
-  size_t size() const { return slots_.size(); }
 
-  /// How long each currently-busy slot has held its lease — the watchdog's
-  /// wedge probe. Already-condemned busy slots are excluded (their wedge
-  /// was handled; counting them again would double-trip).
+  /// Fault-domain accounting, read in one locked snapshot so that
+  ///   condemned == readmitted + quarantined + pending
+  /// holds in every snapshot (pending = slots in kCondemned).
+  struct Counters {
+    size_t condemned = 0;
+    size_t readmitted = 0;
+    size_t quarantined = 0;
+    size_t pending = 0;
+  };
+  Counters counters() const;
+
+  /// How long each currently-busy lease has been held — the watchdog's
+  /// wedge probe. Already-condemned leases are excluded (their wedge was
+  /// handled; counting them again would double-trip).
   struct BusyInfo {
     size_t replica;
+    uint64_t seq;  ///< the lease measured; pass it back to condemn()
     size_t busy_ms;
   };
   std::vector<BusyInfo> busy_slots() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Slot {
     SlotState state = SlotState::kIdle;
-    std::chrono::steady_clock::time_point busy_since{};
+    uint64_t seq = 0;  ///< sequence number of the current/last lease
+    Clock::time_point busy_since{};
+    /// Readmissions inside the breaker window (only kept with a limit).
+    std::vector<Clock::time_point> readmits;
   };
 
   void release(size_t id);
+  /// Quarantine circuit breaker, evaluated as a condemned lease ends: true
+  /// when @p s was already readmitted rebuild_limit_ times inside the
+  /// window; otherwise records this readmission.
+  bool breaker_trips(Slot& s);
+
+  const size_t rebuild_limit_;
+  const Clock::duration rebuild_window_;
 
   mutable std::mutex m_;
-  std::condition_variable free_cv_;     ///< acquire(): a slot became idle
-  std::condition_variable rebuild_cv_;  ///< supervisor: a slot parked
+  std::condition_variable free_cv_;  ///< acquire(): a slot became idle
   std::vector<Slot> slots_;
   size_t rr_ = 0;  ///< slot after the last one leased (round-robin start)
+  size_t condemned_ = 0;
+  size_t readmitted_ = 0;
+  size_t quarantined_ = 0;
 };
 
 }  // namespace metadse::serve

@@ -19,8 +19,9 @@ namespace metadse::serve {
 
 /// Thrown by a session executor to report that the *replica* it ran on is
 /// broken (crashed model state, poisoned cache, chaos kill) — as opposed to
-/// an ordinary session failure. The server condemns the slot so the
-/// supervisor rebuilds it; the session itself lands in kFailed.
+/// an ordinary session failure. The server condemns the lease, so the slot
+/// goes through the quarantine breaker when the lease ends (readmitted, or
+/// quarantined if it keeps dying); the session itself lands in kFailed.
 class ReplicaFault : public std::runtime_error {
  public:
   explicit ReplicaFault(const std::string& what) : std::runtime_error(what) {}
@@ -60,17 +61,19 @@ struct ServeOptions {
   size_t retry_after_ms = 50;
   /// Watchdog scan period; 0 disables the watchdog thread.
   size_t watchdog_period_ms = 100;
-  /// A replica continuously busy longer than this is declared wedged: it is
-  /// condemned (excluded from dispatch, handed to the supervisor for a
-  /// rebuild once its lease ends) and its session's budget is cancelled
-  /// (cooperative — the session aborts at its next budget check). 0
-  /// disables wedge detection.
+  /// A replica continuously busy longer than this is declared wedged: its
+  /// lease is condemned (the slot leaves dispatch until that lease ends,
+  /// then is readmitted or quarantined) and its session's budget is
+  /// cancelled (cooperative — the session aborts at its next budget check).
+  /// 0 disables wedge detection.
   size_t wedged_after_ms = 0;
-  /// Self-healing circuit breaker: a slot rebuilt more than this many times
-  /// within replica_rebuild_window_ms is quarantined (permanently out of
-  /// rotation) instead of readmitted — a replica that keeps dying is not
-  /// worth rebuilding forever. 0 disables quarantine (every condemned slot
-  /// is rebuilt and readmitted, without limit).
+  /// Quarantine circuit breaker. A "rebuild" is a readmission: every slot
+  /// reads the workload's one shared adapted model, so a condemned slot
+  /// only has to rejoin dispatch. A slot readmitted more than this many
+  /// times within replica_rebuild_window_ms is quarantined (permanently out
+  /// of rotation) instead — a replica that keeps dying is not worth
+  /// readmitting forever. 0 disables quarantine (every condemned slot is
+  /// readmitted, without limit).
   size_t replica_rebuild_limit = 0;
   /// Sliding window for replica_rebuild_limit.
   size_t replica_rebuild_window_ms = 60000;
@@ -136,25 +139,22 @@ struct ServerStats {
   size_t degraded = 0;          ///< kOk sessions served degraded
   size_t queue_high_water = 0;  ///< max queue depth observed
   size_t watchdog_trips = 0;    ///< replicas declared wedged
-  // -- self-healing replica accounting (DESIGN.md §14). Every condemnation
-  // resolves into exactly one of rebuilt / quarantined / still pending:
+  // -- replica fault-domain accounting (DESIGN.md §14), read from the pool
+  // in one locked snapshot. Every condemnation resolves into exactly one of
+  // rebuilt (readmitted) / quarantined / still pending:
   //   replicas_condemned ==
   //       replicas_rebuilt + replicas_quarantined + replicas_pending_rebuild
-  // (pending covers condemned-busy, awaiting-rebuild, and mid-rebuild slots,
-  // including those abandoned by shutdown).
+  // holds in every stats() snapshot. Pending counts condemned leases not yet
+  // released, so it is 0 once stop() has returned.
   size_t replicas_condemned = 0;   ///< wedge/fault transitions out of service
-  size_t replicas_rebuilt = 0;     ///< rebuilds that readmitted the slot
+  size_t replicas_rebuilt = 0;     ///< condemned slots readmitted
   size_t replicas_quarantined = 0; ///< slots permanently out of rotation
-  size_t replicas_pending_rebuild = 0;  ///< condemned, not yet resolved
+  size_t replicas_pending_rebuild = 0;  ///< condemned, lease still held
   /// Evaluator points diverted down the ladder by blown-deadline batch
   /// cancellation (GuardedEvaluator report.cancelled), summed over kOk
   /// sessions. cancelled_points > 0 implies degraded > 0: a session whose
   /// batch was cancelled mid-flight was not served at full quality.
   size_t cancelled_points = 0;
-  /// Fused cross-session predict calls / points answered by them, pulled
-  /// from the session engine's BatchCoalescers (0 when coalescing is off).
-  size_t coalesced_batches = 0;
-  size_t coalesced_points = 0;
   /// Reduced-precision serving accounting: sessions that ran their DSE loop
   /// at a quantized tier, and sessions that requested one but fell back to
   /// fp32 because the quantization error contract tripped (DESIGN.md §15).

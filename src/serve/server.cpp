@@ -23,9 +23,9 @@ size_t elapsed_ms(std::chrono::steady_clock::time_point start) {
 ServerCore::ServerCore(ServeOptions options, SessionExecutor executor)
     : options_(options),
       executor_(std::move(executor)),
-      pool_(options.replicas),
-      active_(options.replicas),
-      rebuild_times_(options.replicas) {
+      pool_(options.replicas, options.replica_rebuild_limit,
+            options.replica_rebuild_window_ms),
+      active_(options.replicas) {
   if (!executor_) {
     throw std::invalid_argument("ServerCore: null session executor");
   }
@@ -42,7 +42,6 @@ ServerCore::ServerCore(ServeOptions options, SessionExecutor executor)
   if (options_.watchdog_period_ms > 0) {
     watchdog_ = std::thread([this] { watchdog_loop(); });
   }
-  supervisor_ = std::thread([this] { supervisor_loop(); });
 }
 
 ServerCore::~ServerCore() { stop(StopMode::kNow); }
@@ -177,13 +176,14 @@ void ServerCore::serve_one(Pending item, size_t depth_after_pop) {
     settle(item, std::move(result));
     return;
   }
+  const size_t replica = lease->id();
   {
     std::lock_guard<std::mutex> lk(m_);
-    active_[lease->id()] = item.budget;
+    active_[replica] = {lease->seq(), item.budget};
   }
 
   ExecContext ctx;
-  ctx.replica = lease->id();
+  ctx.replica = replica;
   ctx.budget = item.budget;
   ctx.stop_requested = [this] {
     return stop_now_.load(std::memory_order_relaxed);
@@ -217,9 +217,9 @@ void ServerCore::serve_one(Pending item, size_t depth_after_pop) {
     result.detail = e.what();
   } catch (const ReplicaFault& e) {
     // The executor reported the *replica* broken, not just the session:
-    // condemn the slot now, while the lease is still held, so releasing it
-    // parks the slot for the supervisor instead of re-admitting it.
-    condemn_replica(lease->id());
+    // condemn the lease now, while it is still held, so releasing it runs
+    // the slot through the quarantine breaker.
+    pool_.condemn(replica, lease->seq());
     result.status = SessionStatus::kFailed;
     result.detail = e.what();
   } catch (const explore::ExplorationAborted& e) {
@@ -236,8 +236,11 @@ void ServerCore::serve_one(Pending item, size_t depth_after_pop) {
 
   {
     std::lock_guard<std::mutex> lk(m_);
-    active_[lease->id()].reset();
+    active_[replica] = {};
   }
+  // Release before settling: by the time the future resolves, a condemned
+  // slot is already readmitted or quarantined.
+  lease.reset();
   settle(item, std::move(result));
 }
 
@@ -251,64 +254,18 @@ void ServerCore::watchdog_loop() {
     lk.unlock();
     for (const auto& info : pool_.busy_slots()) {
       if (info.busy_ms <= options_.wedged_after_ms) continue;
-      if (!condemn_replica(info.replica)) continue;
+      // Only the lease measured: if it ended since the snapshot, a new
+      // session on the same slot is not wedged.
+      if (!pool_.condemn(info.replica, info.seq)) continue;
       // Transition to wedged: trip the breaker once and cancel the
       // session's budget so it aborts at its next cooperative check; the
-      // slot parks for the supervisor when that lease ends.
+      // slot is resolved when that lease ends.
       watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
       std::lock_guard<std::mutex> inner(m_);
-      if (active_[info.replica]) active_[info.replica]->cancel();
+      const Active& a = active_[info.replica];
+      if (a.budget && a.lease == info.seq) a.budget->cancel();
     }
     lk.lock();
-  }
-}
-
-bool ServerCore::condemn_replica(size_t replica) {
-  if (!pool_.condemn(replica)) return false;
-  replicas_condemned_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void ServerCore::supervisor_loop() {
-  for (;;) {
-    auto id = pool_.take_for_rebuild(
-        [this] { return supervisor_exit_.load(std::memory_order_relaxed); });
-    if (!id) return;
-
-    // Quarantine circuit breaker: a slot that keeps dying faster than the
-    // window allows is not worth rebuilding forever.
-    const auto now = std::chrono::steady_clock::now();
-    auto& times = rebuild_times_[*id];
-    const auto window = std::chrono::milliseconds(
-        options_.replica_rebuild_window_ms);
-    std::erase_if(times, [&](auto t) { return now - t > window; });
-    if (options_.replica_rebuild_limit > 0 &&
-        times.size() >= options_.replica_rebuild_limit) {
-      replicas_quarantined_.fetch_add(1, std::memory_order_relaxed);
-      pool_.quarantine(*id);
-      continue;
-    }
-
-    bool ok = true;
-    if (rebuilder_) {
-      try {
-        ok = rebuilder_(*id);
-      } catch (...) {
-        ok = false;
-      }
-    }
-    if (ok) {
-      times.push_back(now);
-      // Count before readmitting: anything observing the slot back in
-      // rotation must already see it in the rebuilt bucket.
-      replicas_rebuilt_.fetch_add(1, std::memory_order_relaxed);
-      pool_.readmit(*id);
-    } else {
-      // A rebuild that failed outright leaves the slot unusable no matter
-      // what the rate limit says.
-      replicas_quarantined_.fetch_add(1, std::memory_order_relaxed);
-      pool_.quarantine(*id);
-    }
   }
 }
 
@@ -349,8 +306,8 @@ void ServerCore::stop(StopMode mode) {
         flushed.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      for (auto& budget : active_) {
-        if (budget) budget->cancel();
+      for (auto& a : active_) {
+        if (a.budget) a.budget->cancel();
       }
     }
     if (!joined_) {
@@ -374,12 +331,6 @@ void ServerCore::stop(StopMode mode) {
   watchdog_exit_.store(true, std::memory_order_relaxed);
   watchdog_cv_.notify_all();
   if (watchdog_.joinable()) watchdog_.join();
-  // Supervisor last: workers have released every lease by now, so any slot
-  // condemned during the drain gets its rebuild before serving ends. Slots
-  // still pending when the exit flag lands stay pending (abandoned) and are
-  // visible as replicas_pending_rebuild.
-  supervisor_exit_.store(true, std::memory_order_relaxed);
-  if (supervisor_.joinable()) supervisor_.join();
 }
 
 ServerStats ServerCore::stats() const {
@@ -397,16 +348,11 @@ ServerStats ServerCore::stats() const {
   s.cancelled_points = cancelled_points_.load(std::memory_order_relaxed);
   s.quant_sessions = quant_sessions_.load(std::memory_order_relaxed);
   s.quant_fallbacks = quant_fallbacks_.load(std::memory_order_relaxed);
-  s.replicas_condemned = replicas_condemned_.load(std::memory_order_relaxed);
-  s.replicas_rebuilt = replicas_rebuilt_.load(std::memory_order_relaxed);
-  s.replicas_quarantined =
-      replicas_quarantined_.load(std::memory_order_relaxed);
-  s.replicas_pending_rebuild = pool_.pending_rebuilds();
-  if (coalesce_source_) {
-    const CoalesceStats c = coalesce_source_();
-    s.coalesced_batches = c.coalesced_batches;
-    s.coalesced_points = c.coalesced_points;
-  }
+  const ReplicaPool::Counters c = pool_.counters();
+  s.replicas_condemned = c.condemned;
+  s.replicas_rebuilt = c.readmitted;
+  s.replicas_quarantined = c.quarantined;
+  s.replicas_pending_rebuild = c.pending;
   return s;
 }
 

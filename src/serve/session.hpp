@@ -42,7 +42,7 @@ class MetaDseSessionEngine {
 
   /// @p framework must outlive the engine and be pretrained (or loaded).
   /// @p replicas (at least 1) bounds ExecContext::replica; a replica slot
-  /// owns no state, so ServerCore needs no rebuilder for this engine.
+  /// owns no state, so readmitting a condemned slot needs no rebuild.
   MetaDseSessionEngine(const core::MetaDseFramework& framework,
                        size_t replicas, Options options);
 

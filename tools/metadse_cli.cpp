@@ -750,9 +750,6 @@ int cmd_serve(const Args& args) {
               sopts.queue_capacity, serve::to_string(sopts.admission));
 
   serve::ServerCore server(sopts, engine.executor());
-  if (engine.coalescing()) {
-    server.set_coalesce_stats([&engine] { return engine.coalesce_stats(); });
-  }
 
   // Open-loop (or --arrival-ms-paced) submission: session i targets
   // workload i mod names.size() with seed base+i — the same request stream
@@ -975,7 +972,7 @@ void usage() {
       "            signal, journals flushed, rerun with --resume;\n"
       "            B > 0 fuses concurrent sessions' surrogate batches —\n"
       "            fronts stay bitwise-identical to B = 0;\n"
-      "            L > 0 quarantines a replica rebuilt > L times in W ms;\n"
+      "            L > 0 quarantines a replica readmitted > L times in W ms;\n"
       "            --chaos-drill arms a canned scoped fault plan and fails\n"
       "            unless every armed fault point fired)\n"
       "  similarity [--samples N]\n"
